@@ -2,20 +2,14 @@
 
 The cell is written from scratch (no autograd), so the analytic
 backward pass is the part most worth distrusting. The gradient check
-compares it against central finite differences on random instances.
+compares it against central finite differences on random instances,
+through the same kernel that training runs.
 """
 
 import numpy as np
+from scipy.special import expit
 
-from minutecast.lstm import (
-    LstmParams,
-    LstmState,
-    TrainConfig,
-    gradient_check,
-    lstm_predict,
-    lstm_step,
-    lstm_train,
-)
+from minutecast.lstm import LstmParams, TrainConfig, gradient_check, lstm_predict, lstm_train
 
 
 def main():
@@ -29,11 +23,19 @@ def main():
         w_y=0.3 * rng.standard_normal(d),
         b_y=0.0,
     )
-    state, yhat = lstm_step(params, LstmState.zeros(3), np.array([0.4, -0.1]))
+    x = np.array([0.4, -0.1])
+    # the textbook equations, spelled out; the state starts at zero, so the
+    # recurrent term and the forget gate drop out of the first step
+    z = params.w_x @ x + params.b
+    i, o = expit(z[d : 2 * d]), expit(z[2 * d : 3 * d])
+    c = i * np.tanh(z[3 * d :])
+    h = o * np.tanh(c)
+    by_hand = float(params.w_y @ h + params.b_y)
+    yhat = lstm_predict(params, x[None, :])  # a one-row sequence is one step
     print("single step from zero state on x = [0.4, -0.1]:")
-    print(f"  cell state  c = {np.round(state.c, 4)}")
-    print(f"  hidden      h = {np.round(state.h, 4)}")
-    print(f"  prediction  yhat = {yhat:.4f}\n")
+    print(f"  cell state  c = {np.round(c, 4)}")
+    print(f"  hidden      h = {np.round(h, 4)}")
+    print(f"  prediction  yhat = {yhat:.4f} (by hand {by_hand:.4f})\n")
 
     report = gradient_check(n_instances=6, seed=99)
     print(f"gradient check on {len(report.instances)} random instances "

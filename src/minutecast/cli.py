@@ -34,6 +34,7 @@ from .marketdata import (
     SESSION_MINUTES,
     SESSION_START_MINUTE,
     SynthParams,
+    bar_value_errors,
     business_days,
     generate_synthetic_day,
     load_minute_bars,
@@ -331,10 +332,7 @@ def _scan_bars(path):
             if not SESSION_START_MINUTE <= minute <= SESSION_END_MINUTE:
                 out_of_session += 1
                 continue
-            if price <= 0.0:
-                errors.append(f"line {lineno}: spy_price must be positive, got {price}")
-            if vix < 0.0:
-                errors.append(f"line {lineno}: vix must be non-negative, got {vix}")
+            errors.extend(f"line {lineno}: {p}" for p in bar_value_errors(price, vix))
             counts[day] = counts.get(day, 0) + 1
     if out_of_session:
         warns.append(f"{out_of_session} out-of-session rows (ignored downstream)")

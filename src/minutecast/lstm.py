@@ -1,20 +1,19 @@
 """A from-scratch LSTM regressor for one-step-ahead return forecasting.
 
 Single layer, trained per rolling window with full-batch gradient descent
-and backpropagation through time.  Everything lives in double precision;
-the analytic gradients are validated against central finite differences
-(see :func:`gradient_check`), so no autodiff framework is involved.
+and backpropagation through time.  Everything lives in double precision
+and no autodiff framework is involved.
 
 Parameters are stored packed: the four gates share one input matrix, one
 recurrent matrix and one bias vector, stacked along the row axis in the
-order forget, input, output, candidate.  Per-gate views are exposed as
-properties for anyone who wants the textbook spelling.
+order forget, input, output, candidate.
 
-The trainer has two entry points.  :func:`lstm_train` fits one window.
-:func:`train_windows` fits many same-shaped windows simultaneously with
-batched matrix products, which is what makes a full day of rolling
-refits affordable on a single core; the two routes are tied together by
-tests, not by trust.
+There is one BPTT kernel, :func:`_forward` and :func:`_backward`, over a
+batch of W windows with S subsequences of L steps each.  Training
+(:func:`train_windows`, and :func:`lstm_train` for one window),
+prediction (:func:`lstm_predict`) and the finite-difference check
+(:func:`gradient_check`) all run through it, the last two with W = S = 1,
+so the gradient that is checked is the gradient that trains.
 """
 
 from __future__ import annotations
@@ -31,18 +30,12 @@ from .errors import ConfigError, FitError, NumericError, ShapeError
 
 __all__ = [
     "GradCheckReport",
-    "LstmCache",
     "LstmParams",
-    "LstmState",
     "TrainConfig",
-    "dump_params",
     "flatten_params",
     "gradient_check",
-    "lstm_backward",
-    "lstm_forward",
     "lstm_loss",
     "lstm_predict",
-    "lstm_step",
     "lstm_train",
     "train_windows",
     "unflatten_params",
@@ -55,8 +48,9 @@ class LstmParams:
 
     w_x stacks the input weights of the four gates into a (4d, n) block,
     w_h the recurrent weights into (4d, d), b the biases into (4d,); row
-    order is forget, input, output, candidate.  w_y and b_y map the final
-    hidden state to the scalar prediction.
+    order is forget, input, output, candidate, so gate g of hidden unit k
+    is row g * d + k of every block.  w_y and b_y map the hidden state to
+    the scalar prediction.
     """
 
     w_x: np.ndarray
@@ -100,55 +94,6 @@ class LstmParams:
         """Hidden dimension."""
         return self.w_x.shape[0] // 4
 
-    # textbook per-gate views into the packed blocks
-    @property
-    def w_f(self):
-        return self.w_x[: self.d]
-
-    @property
-    def w_i(self):
-        return self.w_x[self.d : 2 * self.d]
-
-    @property
-    def w_o(self):
-        return self.w_x[2 * self.d : 3 * self.d]
-
-    @property
-    def w_c(self):
-        return self.w_x[3 * self.d :]
-
-    @property
-    def u_f(self):
-        return self.w_h[: self.d]
-
-    @property
-    def u_i(self):
-        return self.w_h[self.d : 2 * self.d]
-
-    @property
-    def u_o(self):
-        return self.w_h[2 * self.d : 3 * self.d]
-
-    @property
-    def u_c(self):
-        return self.w_h[3 * self.d :]
-
-    @property
-    def b_f(self):
-        return self.b[: self.d]
-
-    @property
-    def b_i(self):
-        return self.b[self.d : 2 * self.d]
-
-    @property
-    def b_o(self):
-        return self.b[2 * self.d : 3 * self.d]
-
-    @property
-    def b_c(self):
-        return self.b[3 * self.d :]
-
     @classmethod
     def zeros(cls, n: int, d: int) -> "LstmParams":
         return cls(
@@ -158,26 +103,6 @@ class LstmParams:
             w_y=np.zeros(d),
             b_y=0.0,
         )
-
-
-@dataclass(frozen=True)
-class LstmState:
-    """Cell state and hidden state of one sequence position."""
-
-    c: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
-        h = np.asarray(self.h, dtype=float)
-        if c.ndim != 1 or c.shape != h.shape:
-            raise ShapeError(f"state vectors must be matching 1-D, got {c.shape} / {h.shape}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "h", h)
-
-    @classmethod
-    def zeros(cls, d: int) -> "LstmState":
-        return cls(c=np.zeros(d), h=np.zeros(d))
 
 
 @dataclass(frozen=True)
@@ -213,98 +138,6 @@ class TrainConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-@dataclass
-class LstmCache:
-    """Activations recorded by a forward pass, consumed by the backward pass.
-
-    Opaque to callers; ties itself to the parameter object that produced it.
-    """
-
-    params: LstmParams
-    x: np.ndarray
-    f: np.ndarray
-    i: np.ndarray
-    o: np.ndarray
-    p: np.ndarray
-    c: np.ndarray
-    c_prev: np.ndarray
-    h: np.ndarray
-    h_prev: np.ndarray
-    tanh_c: np.ndarray
-    yhat: np.ndarray
-
-
-def _step_raw(params: LstmParams, c_prev, h_prev, x):
-    """One cell update. Returns every activation the backward pass needs."""
-    d = params.d
-    z = params.w_x @ x + params.w_h @ h_prev + params.b
-    gates = expit(z[: 3 * d])
-    f = gates[:d]
-    i = gates[d : 2 * d]
-    o = gates[2 * d :]
-    p = np.tanh(z[3 * d :])
-    c = f * c_prev + i * p
-    tanh_c = np.tanh(c)
-    h = o * tanh_c
-    yhat = float(params.w_y @ h + params.b_y)
-    return f, i, o, p, c, tanh_c, h, yhat
-
-
-def lstm_step(params: LstmParams, state: LstmState, x) -> Tuple[LstmState, float]:
-    """Advance one position: gate, update the cell, emit the prediction."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (params.n,):
-        raise ShapeError(f"input must have shape ({params.n},), got {x.shape}")
-    if state.c.shape != (params.d,):
-        raise ShapeError(f"state dimension {state.c.shape[0]} != hidden dimension {params.d}")
-    _, _, _, _, c, _, h, yhat = _step_raw(params, state.c, state.h, x)
-    if not (np.isfinite(c).all() and np.isfinite(h).all() and math.isfinite(yhat)):
-        raise NumericError("non-finite activation in lstm_step")
-    return LstmState(c=c, h=h), yhat
-
-
-def lstm_forward(params: LstmParams, sequence) -> Tuple[np.ndarray, LstmCache]:
-    """Run the cell over a length-L sequence from zero state.
-
-    Returns the per-step predictions and the cached activations needed
-    by :func:`lstm_backward`.  State always starts at zero: windows are
-    independent and nothing leaks between them.
-    """
-    x_seq = np.asarray(sequence, dtype=float)
-    if x_seq.ndim != 2 or x_seq.shape[1] != params.n:
-        raise ShapeError(f"sequence must be (L, {params.n}), got {x_seq.shape}")
-    L = x_seq.shape[0]
-    if L < 1:
-        raise ShapeError("sequence must have at least one step")
-    d = params.d
-    F = np.empty((L, d))
-    I = np.empty((L, d))
-    O = np.empty((L, d))
-    P = np.empty((L, d))
-    C = np.empty((L, d))
-    C_prev = np.empty((L, d))
-    H = np.empty((L, d))
-    H_prev = np.empty((L, d))
-    TC = np.empty((L, d))
-    yhat = np.empty(L)
-    c = np.zeros(d)
-    h = np.zeros(d)
-    for j in range(L):
-        C_prev[j] = c
-        H_prev[j] = h
-        f, i, o, p, c, tanh_c, h, y_j = _step_raw(params, c, h, x_seq[j])
-        F[j], I[j], O[j], P[j] = f, i, o, p
-        C[j], TC[j], H[j] = c, tanh_c, h
-        yhat[j] = y_j
-    if not np.isfinite(yhat).all():
-        raise NumericError("non-finite prediction in forward pass")
-    cache = LstmCache(
-        params=params, x=x_seq, f=F, i=I, o=O, p=P,
-        c=C, c_prev=C_prev, h=H, h_prev=H_prev, tanh_c=TC, yhat=yhat,
-    )
-    return yhat, cache
-
-
 def lstm_loss(yhat, y) -> float:
     """Mean squared error over the paired sequence positions."""
     yhat = np.asarray(yhat, dtype=float)
@@ -313,49 +146,6 @@ def lstm_loss(yhat, y) -> float:
         raise ShapeError(f"prediction/target shape mismatch: {yhat.shape} vs {y.shape}")
     diff = yhat - y
     return float(diff @ diff / diff.shape[0])
-
-
-def lstm_backward(params: LstmParams, cache: LstmCache, y) -> LstmParams:
-    """Analytic gradient of lstm_loss w.r.t. every parameter tensor.
-
-    Standard backpropagation through time over the cached activations.
-    The result is packaged in the same container as the parameters so
-    the two stay shape-compatible by construction.
-    """
-    if cache.params is not params:
-        raise ValueError("cache was produced by a different parameter set")
-    y = np.asarray(y, dtype=float)
-    L = cache.yhat.shape[0]
-    if y.shape != (L,):
-        raise ShapeError(f"targets must have shape ({L},), got {y.shape}")
-    d = params.d
-    dY = (2.0 / L) * (cache.yhat - y)
-
-    g_wx = np.zeros_like(params.w_x)
-    g_wh = np.zeros_like(params.w_h)
-    g_b = np.zeros_like(params.b)
-    g_wy = np.zeros_like(params.w_y)
-    g_by = 0.0
-    dh_carry = np.zeros(d)
-    dc_carry = np.zeros(d)
-    dz = np.empty(4 * d)
-    for j in range(L - 1, -1, -1):
-        f, i, o, p = cache.f[j], cache.i[j], cache.o[j], cache.p[j]
-        tc = cache.tanh_c[j]
-        dh = params.w_y * dY[j] + dh_carry
-        dc = dh * o * (1.0 - tc * tc) + dc_carry
-        dz[:d] = dc * cache.c_prev[j] * f * (1.0 - f)
-        dz[d : 2 * d] = dc * p * i * (1.0 - i)
-        dz[2 * d : 3 * d] = dh * tc * o * (1.0 - o)
-        dz[3 * d :] = dc * i * (1.0 - p * p)
-        g_wx += np.outer(dz, cache.x[j])
-        g_wh += np.outer(dz, cache.h_prev[j])
-        g_b += dz
-        g_wy += dY[j] * cache.h[j]
-        g_by += dY[j]
-        dh_carry = params.w_h.T @ dz
-        dc_carry = dc * f
-    return LstmParams(w_x=g_wx, w_h=g_wh, b=g_b, w_y=g_wy, b_y=float(g_by))
 
 
 def flatten_params(params: LstmParams) -> np.ndarray:
@@ -389,6 +179,143 @@ def _init_window(rng: np.random.Generator, n: int, d: int, scale: float):
     w_y = rng.uniform(-scale, scale, size=d)
     b_y = float(rng.uniform(-scale, scale))
     return w_x, w_h, b, w_y, b_y
+
+
+class _Workspace:
+    """Inputs and buffers of one batched BPTT over X of shape (W, S, L, n).
+
+    Step-major activation slabs keep every per-step read and write
+    contiguous; all buffers live across epochs so the hot loop never
+    allocates.  This loop dominates a full-sample run, hence the fuss.
+    """
+
+    def __init__(self, X: np.ndarray, d: int):
+        W, S, L, n = X.shape
+        H4 = 4 * d
+        self.shape = (W, S, L, n, d)
+        self.X_flat = X.reshape(W, S * L, n)
+        self.F = np.empty((L, W, S, d))
+        self.I = np.empty((L, W, S, d))
+        self.O = np.empty((L, W, S, d))
+        self.P = np.empty((L, W, S, d))
+        self.C = np.empty((L, W, S, d))
+        self.TC = np.empty((L, W, S, d))
+        self.H = np.empty((L, W, S, d))
+        self.DZ = np.empty((L, W, S, H4))
+        self.Yhat = np.empty((L, W, S))
+        self.dY = np.empty((L, W, S))
+        self.zbuf = np.empty((W, S, H4))
+        self.zeros_state = np.zeros((W, S, d))
+        self.dh = np.empty((W, S, d))
+        self.dh_carry = np.empty((W, S, d))
+        self.dc_carry = np.empty((W, S, d))
+        self.t1 = np.empty((W, S, d))
+        self.t2 = np.empty((W, S, d))
+        self.t3 = np.empty((W, S, d))
+        self.X_L = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
+        self.g_wx = np.empty((W, H4, n))
+        self.g_wh = np.empty((W, H4, d))
+        self.g_wy = np.empty((W, d))
+        self.gx_tmp = np.empty((W, H4, n))
+        self.gh_tmp = np.empty((W, H4, d))
+        self.gy_tmp = np.empty((W, 1, d))
+
+
+def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
+    """Run every subsequence from zero state; returns Yhat of shape (L, W, S).
+
+    The parameters carry a leading window axis: w_x (W, 4d, n), w_h
+    (W, 4d, d), b (W, 4d), w_y (W, d), b_y (W,).  Activations stay in the
+    workspace for :func:`_backward`.
+    """
+    W, S, L, n, d = ws.shape
+    H4 = 4 * d
+    F, I, O, P, C, TC, H = ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H
+    Yhat, zbuf, zeros_state, t1 = ws.Yhat, ws.zbuf, ws.zeros_state, ws.t1
+    X_proj = (ws.X_flat @ w_x.transpose(0, 2, 1)).reshape(W, S, L, H4)
+    X_proj += b[:, None, None, :]
+    X_proj = X_proj.transpose(2, 0, 1, 3)
+    w_hT = w_h.transpose(0, 2, 1)
+    for j in range(L):
+        c_prev = C[j - 1] if j else zeros_state
+        h_prev = H[j - 1] if j else zeros_state
+        np.matmul(h_prev, w_hT, out=zbuf)
+        zbuf += X_proj[j]
+        expit(zbuf[..., :d], out=F[j])
+        expit(zbuf[..., d : 2 * d], out=I[j])
+        expit(zbuf[..., 2 * d : 3 * d], out=O[j])
+        np.tanh(zbuf[..., 3 * d :], out=P[j])
+        np.multiply(F[j], c_prev, out=t1)
+        np.multiply(I[j], P[j], out=C[j])
+        C[j] += t1
+        np.tanh(C[j], out=TC[j])
+        np.multiply(O[j], TC[j], out=H[j])
+        np.multiply(H[j], w_y[:, None, :], out=t1)
+        np.sum(t1, axis=-1, out=Yhat[j])
+        Yhat[j] += b_y[:, None]
+    return Yhat
+
+
+def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
+    """Gradients of the last :func:`_forward` against step-major targets YL.
+
+    YL has shape (L, W, S).  Per window, the gradient is the sum over its
+    S subsequences of each one's per-step mean-squared-error gradient.
+    Returns (g_wx, g_wh, g_b, g_wy, g_by), batched like the parameters;
+    the weight gradients are workspace buffers, overwritten by the next
+    call.
+    """
+    W, S, L, n, d = ws.shape
+    F, I, O, P, C, TC, H, DZ = ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H, ws.DZ
+    dY, zeros_state = ws.dY, ws.zeros_state
+    dh, dh_carry, dc_carry, t1, t2, t3 = ws.dh, ws.dh_carry, ws.dc_carry, ws.t1, ws.t2, ws.t3
+    g_wx, g_wh, g_wy = ws.g_wx, ws.g_wh, ws.g_wy
+    gx_tmp, gh_tmp, gy_tmp = ws.gx_tmp, ws.gh_tmp, ws.gy_tmp
+    np.subtract(ws.Yhat, YL, out=dY)
+    dY *= 2.0 / L
+    dh_carry[:] = 0.0
+    dc_carry[:] = 0.0
+    g_wx[:] = 0.0
+    g_wh[:] = 0.0
+    g_wy[:] = 0.0
+    for j in range(L - 1, -1, -1):
+        c_prev = C[j - 1] if j else zeros_state
+        np.multiply(w_y[:, None, :], dY[j][:, :, None], out=dh)
+        dh += dh_carry
+        np.multiply(TC[j], TC[j], out=t1)
+        np.subtract(1.0, t1, out=t1)
+        t1 *= O[j]
+        t1 *= dh
+        t1 += dc_carry  # t1 is now dc
+        np.subtract(1.0, F[j], out=t2)
+        t2 *= F[j]
+        np.multiply(t1, c_prev, out=t3)
+        np.multiply(t3, t2, out=DZ[j][..., :d])
+        np.subtract(1.0, I[j], out=t2)
+        t2 *= I[j]
+        np.multiply(t1, P[j], out=t3)
+        np.multiply(t3, t2, out=DZ[j][..., d : 2 * d])
+        np.subtract(1.0, O[j], out=t2)
+        t2 *= O[j]
+        np.multiply(dh, TC[j], out=t3)
+        np.multiply(t3, t2, out=DZ[j][..., 2 * d : 3 * d])
+        np.multiply(P[j], P[j], out=t2)
+        np.subtract(1.0, t2, out=t2)
+        t2 *= I[j]
+        np.multiply(t1, t2, out=DZ[j][..., 3 * d :])
+        dzT = DZ[j].transpose(0, 2, 1)
+        np.matmul(dzT, ws.X_L[j], out=gx_tmp)
+        g_wx += gx_tmp
+        np.matmul(dzT, H[j - 1] if j else zeros_state, out=gh_tmp)
+        g_wh += gh_tmp
+        np.matmul(dY[j][:, None, :], H[j], out=gy_tmp)
+        g_wy += gy_tmp.reshape(W, d)
+        np.matmul(DZ[j], w_h, out=dh_carry)
+        np.multiply(t1, F[j], out=dc_carry)
+
+    g_b = DZ.sum(axis=(0, 2))
+    g_by = dY.sum(axis=(0, 2))
+    return g_wx, g_wh, g_b, g_wy, g_by
 
 
 def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[LstmParams]:
@@ -441,108 +368,14 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[LstmP
         w_x[w], w_h[w], b[w], w_y[w], b_y[w] = _init_window(
             np.random.default_rng(int(seed)), n, d, config.init_scale
         )
-    w_xT = w_x.transpose(0, 2, 1)  # views stay live across in-place updates
-    w_hT = w_h.transpose(0, 2, 1)
 
-    # Step-major activation slabs keep every per-step read and write
-    # contiguous; all buffers live across epochs so the hot loop never
-    # allocates.  This loop dominates a full-sample run, hence the fuss.
-    X_flat = X.reshape(W, S * L, n)
-    F = np.empty((L, W, S, d))
-    I = np.empty((L, W, S, d))
-    O = np.empty((L, W, S, d))
-    P = np.empty((L, W, S, d))
-    C = np.empty((L, W, S, d))
-    TC = np.empty((L, W, S, d))
-    H = np.empty((L, W, S, d))
-    DZ = np.empty((L, W, S, H4))
-    Yhat = np.empty((L, W, S))
+    ws = _Workspace(X, d)
     YL = np.ascontiguousarray(Y.transpose(2, 0, 1))
-    dY = np.empty((L, W, S))
-    zbuf = np.empty((W, S, H4))
-    zeros_state = np.zeros((W, S, d))
-    dh = np.empty((W, S, d))
-    dh_carry = np.empty((W, S, d))
-    dc_carry = np.empty((W, S, d))
-    t1 = np.empty((W, S, d))
-    t2 = np.empty((W, S, d))
-    t3 = np.empty((W, S, d))
-    X_L = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-    g_wx = np.empty((W, H4, n))
-    g_wh = np.empty((W, H4, d))
-    g_wy = np.empty((W, d))
-    gx_tmp = np.empty((W, H4, n))
-    gh_tmp = np.empty((W, H4, d))
-    gy_tmp = np.empty((W, 1, d))
-
     for epoch in range(config.epochs):
-        X_proj = (X_flat @ w_xT).reshape(W, S, L, H4)
-        X_proj += b[:, None, None, :]
-        X_proj = X_proj.transpose(2, 0, 1, 3)
-        for j in range(L):
-            c_prev = C[j - 1] if j else zeros_state
-            h_prev = H[j - 1] if j else zeros_state
-            np.matmul(h_prev, w_hT, out=zbuf)
-            zbuf += X_proj[j]
-            expit(zbuf[..., :d], out=F[j])
-            expit(zbuf[..., d : 2 * d], out=I[j])
-            expit(zbuf[..., 2 * d : 3 * d], out=O[j])
-            np.tanh(zbuf[..., 3 * d :], out=P[j])
-            np.multiply(F[j], c_prev, out=t1)
-            np.multiply(I[j], P[j], out=C[j])
-            C[j] += t1
-            np.tanh(C[j], out=TC[j])
-            np.multiply(O[j], TC[j], out=H[j])
-            np.multiply(H[j], w_y[:, None, :], out=t1)
-            np.sum(t1, axis=-1, out=Yhat[j])
-            Yhat[j] += b_y[:, None]
+        Yhat = _forward(ws, w_x, w_h, b, w_y, b_y)
         if not math.isfinite(float(Yhat.sum())):
             raise NumericError(f"training diverged at epoch {epoch}")
-
-        np.subtract(Yhat, YL, out=dY)
-        dY *= 2.0 / L
-        dh_carry[:] = 0.0
-        dc_carry[:] = 0.0
-        g_wx[:] = 0.0
-        g_wh[:] = 0.0
-        g_wy[:] = 0.0
-        for j in range(L - 1, -1, -1):
-            c_prev = C[j - 1] if j else zeros_state
-            np.multiply(w_y[:, None, :], dY[j][:, :, None], out=dh)
-            dh += dh_carry
-            np.multiply(TC[j], TC[j], out=t1)
-            np.subtract(1.0, t1, out=t1)
-            t1 *= O[j]
-            t1 *= dh
-            t1 += dc_carry  # t1 is now dc
-            np.subtract(1.0, F[j], out=t2)
-            t2 *= F[j]
-            np.multiply(t1, c_prev, out=t3)
-            np.multiply(t3, t2, out=DZ[j][..., :d])
-            np.subtract(1.0, I[j], out=t2)
-            t2 *= I[j]
-            np.multiply(t1, P[j], out=t3)
-            np.multiply(t3, t2, out=DZ[j][..., d : 2 * d])
-            np.subtract(1.0, O[j], out=t2)
-            t2 *= O[j]
-            np.multiply(dh, TC[j], out=t3)
-            np.multiply(t3, t2, out=DZ[j][..., 2 * d : 3 * d])
-            np.multiply(P[j], P[j], out=t2)
-            np.subtract(1.0, t2, out=t2)
-            t2 *= I[j]
-            np.multiply(t1, t2, out=DZ[j][..., 3 * d :])
-            dzT = DZ[j].transpose(0, 2, 1)
-            np.matmul(dzT, X_L[j], out=gx_tmp)
-            g_wx += gx_tmp
-            np.matmul(dzT, H[j - 1] if j else zeros_state, out=gh_tmp)
-            g_wh += gh_tmp
-            np.matmul(dY[j][:, None, :], H[j], out=gy_tmp)
-            g_wy += gy_tmp.reshape(W, d)
-            np.matmul(DZ[j], w_h, out=dh_carry)
-            np.multiply(t1, F[j], out=dc_carry)
-
-        g_b = DZ.sum(axis=(0, 2))
-        g_by = dY.sum(axis=(0, 2))
+        g_wx, g_wh, g_b, g_wy, g_by = _backward(ws, YL, w_h, w_y)
 
         sq = (
             (g_wx * g_wx).sum(axis=(1, 2))
@@ -588,9 +421,34 @@ def lstm_train(X, y, config: TrainConfig) -> LstmParams:
     return train_windows(X_sub, Y_sub, config, [config.seed])[0]
 
 
+def _batched(params: LstmParams):
+    """The parameters as a batch of one window, in kernel argument order."""
+    return (
+        params.w_x[None], params.w_h[None], params.b[None], params.w_y[None],
+        np.array([params.b_y]),
+    )
+
+
+def _sequence_workspace(params: LstmParams, sequence) -> _Workspace:
+    """A kernel workspace for one (L, n) sequence: W = S = 1."""
+    x_seq = np.asarray(sequence, dtype=float)
+    if x_seq.ndim != 2 or x_seq.shape[1] != params.n:
+        raise ShapeError(f"sequence must be (L, {params.n}), got {x_seq.shape}")
+    if x_seq.shape[0] < 1:
+        raise ShapeError("sequence must have at least one step")
+    return _Workspace(np.ascontiguousarray(x_seq[None, None]), params.d)
+
+
 def lstm_predict(params: LstmParams, sequence) -> float:
-    """Forward over the most recent L feature vectors; return the last ŷ."""
-    yhat, _ = lstm_forward(params, sequence)
+    """Run the cell from zero state over the most recent L feature vectors.
+
+    Returns the prediction at the last step.  State always starts at zero:
+    windows are independent and nothing leaks between them.
+    """
+    ws = _sequence_workspace(params, sequence)
+    yhat = _forward(ws, *_batched(params))[:, 0, 0]
+    if not np.isfinite(yhat).all():
+        raise NumericError("non-finite prediction in forward pass")
     return float(yhat[-1])
 
 
@@ -618,7 +476,7 @@ def gradient_check(
     tolerance: float = 1e-4,
     corrupt: bool = False,
 ) -> GradCheckReport:
-    """Compare lstm_backward against central finite differences.
+    """Compare the kernel's analytic gradient with central finite differences.
 
     Draws random small instances (n <= 4, d <= 6, L <= 8) and reports the
     worst relative error per instance.  The denominator is floored at
@@ -645,20 +503,25 @@ def gradient_check(
         seq = rng.uniform(-1.0, 1.0, size=(L, n))
         y = rng.uniform(-1.0, 1.0, size=L)
 
-        yhat, cache = lstm_forward(params, seq)
-        analytic = flatten_params(lstm_backward(params, cache, y))
+        ws = _sequence_workspace(params, seq)
+        _forward(ws, *_batched(params))
+        grads = _backward(ws, y[:, None, None], params.w_h[None], params.w_y[None])
+        analytic = np.concatenate([g.ravel() for g in grads])
         if corrupt and idx == 0:
-            analytic = analytic.copy()
             analytic[0] += 1e-3
+
+        def loss(vec):
+            yhat = _forward(ws, *_batched(unflatten_params(vec, n, d)))
+            return lstm_loss(yhat[:, 0, 0], y)
 
         theta = flatten_params(params)
         numeric = np.empty_like(theta)
         for k in range(theta.shape[0]):
             bumped = theta.copy()
             bumped[k] = theta[k] + epsilon
-            up = lstm_loss(lstm_forward(unflatten_params(bumped, n, d), seq)[0], y)
+            up = loss(bumped)
             bumped[k] = theta[k] - epsilon
-            down = lstm_loss(lstm_forward(unflatten_params(bumped, n, d), seq)[0], y)
+            down = loss(bumped)
             numeric[k] = (up - down) / (2.0 * epsilon)
 
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
@@ -666,26 +529,3 @@ def gradient_check(
         records.append((n, d, L, float(rel.max())))
     return GradCheckReport(epsilon=epsilon, tolerance=tolerance, instances=tuple(records))
 
-
-_DUMP_TENSORS = ("w_f", "w_i", "w_o", "w_c", "u_f", "u_i", "u_o", "u_c",
-                 "b_f", "b_i", "b_o", "b_c")
-
-
-def dump_params(params: LstmParams) -> str:
-    """Flat `tensor_name,row,col,value` listing for reproducibility digging.
-
-    Vectors use col 0; the output map w_y is written as its 1 x d row.
-    Not a stability-guaranteed format.
-    """
-    lines = []
-    for name in _DUMP_TENSORS:
-        tensor = np.atleast_2d(getattr(params, name))
-        if name.startswith("b_"):
-            tensor = tensor.T  # biases are column vectors
-        for r in range(tensor.shape[0]):
-            for col in range(tensor.shape[1]):
-                lines.append(f"{name},{r},{col},{float(tensor[r, col])!r}")
-    for col, v in enumerate(params.w_y):
-        lines.append(f"w_y,0,{col},{float(v)!r}")
-    lines.append(f"b_y,0,0,{params.b_y!r}")
-    return "\n".join(lines) + "\n"

@@ -60,6 +60,20 @@ def time_to_minute(text: str) -> int:
     return hour * 60 + minute - _BASE_MINUTE_OF_DAY
 
 
+def bar_value_errors(spy_price: float, vix: float) -> list[str]:
+    """Why a price/VIX pair cannot be a bar; empty when it can.
+
+    A price must be finite and positive, a VIX finite and non-negative.
+    Written as range tests so that NaN fails them too.
+    """
+    problems = []
+    if not 0.0 < spy_price < math.inf:
+        problems.append(f"spy_price must be finite and positive, got {spy_price}")
+    if not 0.0 <= vix < math.inf:
+        problems.append(f"vix must be finite and non-negative, got {vix}")
+    return problems
+
+
 @dataclass(frozen=True, slots=True)
 class MinuteBar:
     day: dt.date
@@ -68,10 +82,9 @@ class MinuteBar:
     vix_annual: float
 
     def __post_init__(self):
-        if self.spy_price <= 0.0:
-            raise DataError(f"spy_price must be positive, got {self.spy_price}")
-        if self.vix_annual < 0.0:
-            raise DataError(f"vix_annual must be non-negative, got {self.vix_annual}")
+        problems = bar_value_errors(self.spy_price, self.vix_annual)
+        if problems:
+            raise DataError(problems[0])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ test data, so test values may fall outside [0, 1]. Constant training columns
 are flagged degenerate: they transform to 0.0 and invert to the stored
 constant, because a quiet 30-minute window can genuinely produce them.
 A span tiny next to a probe's distance from the minimum can push the scaled
-value past the largest float; transform raises NumericError rather than
-returning inf.
+value past the largest float, and a column spanning more than the largest
+float has no finite span at all; in both cases transform raises
+NumericError rather than returning inf or a collapsed value.
 """
 
 from __future__ import annotations
@@ -50,15 +51,23 @@ def fit_minmax(train_matrix) -> MinMaxScaler:
 def transform(scaler: MinMaxScaler, matrix) -> np.ndarray:
     """(x - min) / (max - min) per column; degenerate columns map to 0.0.
 
-    Raises NumericError, naming the first such column, when a finite input
-    scales to a value that is not representable as a finite float.
+    Raises NumericError, naming the first such column, when a fitted span
+    is not a finite float or a finite input scales to a value that is not.
     """
     data = _as_matrix(matrix)
     if data.shape[1] != scaler.n_columns:
         raise ShapeError(
             f"scaler fitted on {scaler.n_columns} columns, got {data.shape[1]}"
         )
-    spans = scaler.maxs - scaler.mins
+    with np.errstate(over="ignore"):
+        spans = scaler.maxs - scaler.mins
+    unbounded = ~np.isfinite(spans)
+    if unbounded.any():
+        col = int(np.flatnonzero(unbounded)[0])
+        raise NumericError(
+            f"scaling column {col}: span from {float(scaler.mins[col])!r} "
+            f"to {float(scaler.maxs[col])!r} is not a finite float"
+        )
     safe = np.where(spans == 0.0, 1.0, spans)
     with np.errstate(over="ignore"):
         out = (data - scaler.mins) / safe

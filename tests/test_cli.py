@@ -203,6 +203,20 @@ class TestValidate:
         assert cli.main(["validate", path]) == 3
         assert "line 6" in capsys.readouterr().out
 
+    def test_non_finite_values(self, tmp_path, capsys):
+        def corrupt(lines):
+            day, time, _, vix = lines[3].split(",")
+            lines[3] = f"{day},{time},nan,{vix}"
+            day, time, price, _ = lines[7].split(",")
+            lines[7] = f"{day},{time},{price},inf"
+            return lines
+        path = make_bars(tmp_path, corrupt)
+        assert cli.main(["validate", path]) == 3
+        output = capsys.readouterr().out
+        assert "2 errors" in output
+        assert "line 4: spy_price must be finite" in output
+        assert "line 8: vix must be finite" in output
+
     def test_non_monotone(self, tmp_path, capsys):
         path = make_bars(tmp_path, lambda lines: lines[:10] + [lines[11], lines[10]] + lines[12:])
         assert cli.main(["validate", path]) == 3

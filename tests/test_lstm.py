@@ -1,9 +1,13 @@
-"""Tests for the LSTM cell, BPTT gradients, and the window trainer.
+"""Tests for the LSTM kernel, its gradients, and the window trainer.
 
-The gradient oracle is central finite differences over the flattened
-parameter vector.  The batched trainer is checked against a manual
-single-sequence route (init, mean gradient, clip, step) built here from
-scratch so the two implementations never validate each other.
+Training, prediction and the gradient check share one batched BPTT
+kernel (``lstm._forward`` / ``lstm._backward``).  The oracle it is
+checked against lives here: a per-sequence forward and backward pass
+written step by step from the textbook equations, plus central finite
+differences over the flattened parameter vector.  The batched trainer is
+also checked against a manual single-sequence route (init, summed
+gradient, clip, step) built from that oracle, so the two implementations
+never validate each other.
 """
 
 import math
@@ -43,19 +47,103 @@ def _init_from_seed(cfg, n, seed):
     )
 
 
+# ---------------------------------------------------------------------------
+# the oracle: one sequence, one step at a time, per-gate blocks
+# ---------------------------------------------------------------------------
+
+def oracle_forward(params, seq):
+    """Run the cell over an (L, n) sequence from zero state.
+
+    Returns the per-step predictions and a dict of per-step activations
+    (each (L, d)) for :func:`oracle_backward`.
+    """
+    seq = np.asarray(seq, dtype=float)
+    L, d = seq.shape[0], params.d
+    names = ("f", "i", "o", "p", "c", "c_prev", "h", "h_prev", "tc")
+    acts = {k: np.empty((L, d)) for k in names}
+    yhat = np.empty(L)
+    c = np.zeros(d)
+    h = np.zeros(d)
+    for j in range(L):
+        acts["c_prev"][j], acts["h_prev"][j] = c, h
+        z = params.w_x @ seq[j] + params.w_h @ h + params.b
+        f, i, o = expit(z[:d]), expit(z[d : 2 * d]), expit(z[2 * d : 3 * d])
+        p = np.tanh(z[3 * d :])
+        c = f * c + i * p
+        h = o * np.tanh(c)
+        for k, v in (("f", f), ("i", i), ("o", o), ("p", p), ("c", c), ("h", h)):
+            acts[k][j] = v
+        acts["tc"][j] = np.tanh(c)
+        yhat[j] = params.w_y @ h + params.b_y
+    return yhat, acts
+
+
+def oracle_backward(params, seq, y):
+    """Flattened gradient of lstm_loss over one sequence, by BPTT."""
+    seq = np.asarray(seq, dtype=float)
+    yhat, a = oracle_forward(params, seq)
+    L, d = seq.shape[0], params.d
+    dY = (2.0 / L) * (yhat - np.asarray(y, dtype=float))
+    g_wx = np.zeros_like(params.w_x)
+    g_wh = np.zeros_like(params.w_h)
+    g_b = np.zeros_like(params.b)
+    g_wy = np.zeros_like(params.w_y)
+    g_by = 0.0
+    dh_carry = np.zeros(d)
+    dc_carry = np.zeros(d)
+    for j in range(L - 1, -1, -1):
+        f, i, o, p, tc = a["f"][j], a["i"][j], a["o"][j], a["p"][j], a["tc"][j]
+        dh = params.w_y * dY[j] + dh_carry
+        dc = dh * o * (1.0 - tc * tc) + dc_carry
+        dz = np.concatenate([
+            dc * a["c_prev"][j] * f * (1.0 - f),
+            dc * p * i * (1.0 - i),
+            dh * tc * o * (1.0 - o),
+            dc * i * (1.0 - p * p),
+        ])
+        g_wx += np.outer(dz, seq[j])
+        g_wh += np.outer(dz, a["h_prev"][j])
+        g_b += dz
+        g_wy += dY[j] * a["h"][j]
+        g_by += dY[j]
+        dh_carry = params.w_h.T @ dz
+        dc_carry = dc * f
+    return np.concatenate([g_wx.ravel(), g_wh.ravel(), g_b, g_wy, [g_by]])
+
+
+def kernel_forward(params, seq):
+    """The production kernel on one sequence; returns its workspace."""
+    ws = lstm._sequence_workspace(params, seq)
+    lstm._forward(ws, *lstm._batched(params))
+    return ws
+
+
+def kernel_gradient(params, seq, y):
+    """The production kernel's flattened gradient of lstm_loss."""
+    ws = kernel_forward(params, seq)
+    y = np.asarray(y, dtype=float)
+    grads = lstm._backward(ws, y[:, None, None], params.w_h[None], params.w_y[None])
+    return np.concatenate([g.ravel() for g in grads])
+
+
+def kernel_gates(ws):
+    """Step-major (L, d) activations of a W = S = 1 workspace."""
+    return {k: getattr(ws, k)[:, 0, 0] for k in ("F", "I", "O", "P", "C", "H")}
+
+
 class TestLstmStep:
     def test_all_zero_parameters(self):
         params = lstm.LstmParams.zeros(n=3, d=4)
-        state, yhat = lstm.lstm_step(params, lstm.LstmState.zeros(4), np.array([1.0, -2.0, 0.5]))
-        assert yhat == 0.0
-        np.testing.assert_array_equal(state.c, np.zeros(4))
-        np.testing.assert_array_equal(state.h, np.zeros(4))
+        x = np.array([[1.0, -2.0, 0.5]])
+        assert lstm.lstm_predict(params, x) == 0.0
+        gates = kernel_gates(kernel_forward(params, x))
+        np.testing.assert_array_equal(gates["C"][0], np.zeros(4))
+        np.testing.assert_array_equal(gates["H"][0], np.zeros(4))
         # gates sit at logistic(0) = 0.5 exactly
-        _, cache = lstm.lstm_forward(params, np.array([[1.0, -2.0, 0.5]]))
-        np.testing.assert_array_equal(cache.f[0], np.full(4, 0.5))
-        np.testing.assert_array_equal(cache.i[0], np.full(4, 0.5))
-        np.testing.assert_array_equal(cache.o[0], np.full(4, 0.5))
-        np.testing.assert_array_equal(cache.p[0], np.zeros(4))
+        np.testing.assert_array_equal(gates["F"][0], np.full(4, 0.5))
+        np.testing.assert_array_equal(gates["I"][0], np.full(4, 0.5))
+        np.testing.assert_array_equal(gates["O"][0], np.full(4, 0.5))
+        np.testing.assert_array_equal(gates["P"][0], np.zeros(4))
 
     def test_output_bias_passthrough(self):
         params = lstm.LstmParams(
@@ -64,7 +152,7 @@ class TestLstmStep:
         )
         rng = np.random.default_rng(3)
         for _ in range(5):
-            _, yhat = lstm.lstm_step(params, lstm.LstmState.zeros(2), rng.normal(size=2))
+            yhat = lstm.lstm_predict(params, rng.normal(size=(1, 2)))
             assert yhat == pytest.approx(0.7, abs=0)
 
     def test_scalar_hand_case(self):
@@ -75,26 +163,31 @@ class TestLstmStep:
             w_x=np.array([[0.0], [0.0], [0.0], [1.0]]),
             w_h=np.zeros((4, 1)), b=b, w_y=np.array([1.0]), b_y=0.0,
         )
-        state, _ = lstm.lstm_step(params, lstm.LstmState.zeros(1), np.array([1.0]))
+        gates = kernel_gates(kernel_forward(params, [[1.0]]))
         c_expect = expit(30.0) * math.tanh(1.0)  # ~ tanh(1) = 0.76159
         h_expect = 0.5 * math.tanh(c_expect)     # ~ 0.32101
-        assert state.c[0] == pytest.approx(c_expect, abs=1e-15)
-        assert state.h[0] == pytest.approx(h_expect, abs=1e-15)
-        assert state.c[0] == pytest.approx(0.76159, abs=5e-6)
-        assert state.h[0] == pytest.approx(0.32101, abs=5e-6)
+        assert gates["C"][0, 0] == pytest.approx(c_expect, abs=1e-15)
+        assert gates["H"][0, 0] == pytest.approx(h_expect, abs=1e-15)
+        assert gates["C"][0, 0] == pytest.approx(0.76159, abs=5e-6)
+        assert gates["H"][0, 0] == pytest.approx(0.32101, abs=5e-6)
+        # w_y = 1, b_y = 0: the forecast is the hidden state
+        assert lstm.lstm_predict(params, [[1.0]]) == pytest.approx(h_expect, abs=1e-15)
 
     def test_shape_errors(self):
         params = lstm.LstmParams.zeros(n=2, d=3)
         with pytest.raises(ShapeError):
-            lstm.lstm_step(params, lstm.LstmState.zeros(3), np.array([1.0]))
+            lstm.lstm_predict(params, np.array([[1.0]]))
         with pytest.raises(ShapeError):
-            lstm.lstm_step(params, lstm.LstmState.zeros(2), np.array([1.0, 2.0]))
+            lstm.lstm_predict(params, np.array([1.0, 2.0]))
+        with pytest.raises(ShapeError):
+            lstm.lstm_predict(params, np.zeros((2, 3, 2)))
 
     def test_non_finite_state_detected(self):
+        # a NaN input turns the cell state non-finite, and so the forecast
         params = lstm.LstmParams.zeros(n=1, d=1)
-        bad = lstm.LstmState(c=np.array([np.inf]), h=np.array([0.0]))
-        with pytest.raises(NumericError):
-            lstm.lstm_step(params, bad, np.array([1.0]))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError):
+                lstm.lstm_predict(params, np.array([[np.nan]]))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -104,11 +197,11 @@ class TestLstmStep:
         rng = np.random.default_rng(seed)
         params = random_params(rng, n=2, d=3, scale=0.5)
         seq = rng.normal(size=(4, 2)) * 1.5
-        _, cache = lstm.lstm_forward(params, seq)
-        for g in (cache.f, cache.i, cache.o):
+        gates = kernel_gates(kernel_forward(params, seq))
+        for g in (gates["F"], gates["I"], gates["O"]):
             assert np.all(g > 0.0) and np.all(g < 1.0)
-        assert np.all(np.abs(cache.p) < 1.0)
-        assert np.all(np.abs(cache.h) < 1.0)
+        assert np.all(np.abs(gates["P"]) < 1.0)
+        assert np.all(np.abs(gates["H"]) < 1.0)
 
     def test_gate_saturation_stays_on_closed_interval(self):
         # extreme inputs round onto the bounds but never beyond them
@@ -116,24 +209,24 @@ class TestLstmStep:
             w_x=np.full((4, 1), 100.0), w_h=np.zeros((4, 1)), b=np.zeros(4),
             w_y=np.ones(1), b_y=0.0,
         )
-        _, cache = lstm.lstm_forward(params, np.array([[5.0], [-5.0]]))
-        for g in (cache.f, cache.i, cache.o):
+        gates = kernel_gates(kernel_forward(params, np.array([[5.0], [-5.0]])))
+        for g in (gates["F"], gates["I"], gates["O"]):
             assert np.all(g >= 0.0) and np.all(g <= 1.0)
-        assert np.all(np.abs(cache.p) <= 1.0)
-        assert np.all(np.abs(cache.h) <= 1.0)
+        assert np.all(np.abs(gates["P"]) <= 1.0)
+        assert np.all(np.abs(gates["H"]) <= 1.0)
 
 
 class TestLstmForward:
     def test_single_step_reduction(self):
+        # a one-row sequence is one step from rest: the oracle's first step
         rng = np.random.default_rng(8)
         params = random_params(rng, n=3, d=2)
-        x = rng.normal(size=3)
-        yhat, cache = lstm.lstm_forward(params, x[None, :])
-        state, y_step = lstm.lstm_step(params, lstm.LstmState.zeros(2), x)
-        assert yhat.shape == (1,)
-        assert yhat[0] == y_step
-        np.testing.assert_array_equal(cache.c[0], state.c)
-        np.testing.assert_array_equal(cache.h[0], state.h)
+        x = rng.normal(size=(1, 3))
+        expected, acts = oracle_forward(params, x)
+        gates = kernel_gates(kernel_forward(params, x))
+        assert lstm.lstm_predict(params, x) == pytest.approx(expected[0], rel=1e-14, abs=1e-16)
+        np.testing.assert_allclose(gates["C"][0], acts["c"][0], rtol=1e-14, atol=1e-16)
+        np.testing.assert_allclose(gates["H"][0], acts["h"][0], rtol=1e-14, atol=1e-16)
 
     def test_repeated_input_with_closed_forget_gate(self):
         # U_* = 0 and f ~ 0: each step sees the same gates and an almost
@@ -146,30 +239,37 @@ class TestLstmForward:
             b=b, w_y=rng.normal(size=d), b_y=0.3,
         )
         seq = np.tile(rng.normal(size=(1, n)), (6, 1))
-        yhat, _ = lstm.lstm_forward(params, seq)
+        yhat = kernel_forward(params, seq).Yhat[:, 0, 0]
         assert np.max(np.abs(yhat - yhat[0])) < 1e-9
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(5)
         params = random_params(rng, n=2, d=4)
         seq = rng.normal(size=(7, 2))
-        y1, _ = lstm.lstm_forward(params, seq)
-        y2, _ = lstm.lstm_forward(params, seq)
-        np.testing.assert_array_equal(y1, y2)
+        assert lstm.lstm_predict(params, seq) == lstm.lstm_predict(params, seq)
+        np.testing.assert_array_equal(
+            kernel_forward(params, seq).Yhat, kernel_forward(params, seq).Yhat
+        )
 
     def test_starts_from_zero_state(self):
         rng = np.random.default_rng(6)
         params = random_params(rng, n=2, d=3)
-        _, cache = lstm.lstm_forward(params, rng.normal(size=(4, 2)))
-        np.testing.assert_array_equal(cache.c_prev[0], np.zeros(3))
-        np.testing.assert_array_equal(cache.h_prev[0], np.zeros(3))
+        seq = rng.normal(size=(4, 2))
+        gates = kernel_gates(kernel_forward(params, seq))
+        # c_0 = f * 0 + i * p and h_0 = o * tanh(c_0), bit for bit
+        np.testing.assert_array_equal(gates["C"][0], gates["I"][0] * gates["P"][0])
+        np.testing.assert_array_equal(gates["H"][0], gates["O"][0] * np.tanh(gates["C"][0]))
+        # nothing carries over from an earlier call
+        alone = lstm.lstm_predict(params, seq)
+        lstm.lstm_predict(params, rng.normal(size=(6, 2)) * 10.0)
+        assert lstm.lstm_predict(params, seq) == alone
 
     def test_bad_feature_dimension(self):
         params = lstm.LstmParams.zeros(n=3, d=2)
         with pytest.raises(ShapeError):
-            lstm.lstm_forward(params, np.zeros((5, 2)))
+            lstm.lstm_predict(params, np.zeros((5, 2)))
         with pytest.raises(ShapeError):
-            lstm.lstm_forward(params, np.zeros((0, 3)))
+            lstm.lstm_predict(params, np.zeros((0, 3)))
 
 
 class TestLstmLoss:
@@ -191,14 +291,18 @@ class TestLstmLoss:
 
 
 def finite_difference_gradient(params, seq, y, eps):
+    def loss(theta):
+        bumped = lstm.unflatten_params(theta, params.n, params.d)
+        return lstm.lstm_loss(oracle_forward(bumped, seq)[0], y)
+
     theta = lstm.flatten_params(params)
     grad = np.empty_like(theta)
     for k in range(theta.shape[0]):
         bumped = theta.copy()
         bumped[k] += eps
-        up = lstm.lstm_loss(lstm.lstm_forward(lstm.unflatten_params(bumped, params.n, params.d), seq)[0], y)
+        up = loss(bumped)
         bumped[k] -= 2 * eps
-        down = lstm.lstm_loss(lstm.lstm_forward(lstm.unflatten_params(bumped, params.n, params.d), seq)[0], y)
+        down = loss(bumped)
         grad[k] = (up - down) / (2 * eps)
     return grad
 
@@ -207,9 +311,7 @@ class TestLstmBackward:
     def test_zero_gradient_at_exact_fit(self):
         params = lstm.LstmParams.zeros(n=2, d=3)
         seq = np.random.default_rng(1).normal(size=(4, 2))
-        yhat, cache = lstm.lstm_forward(params, seq)
-        grads = lstm.lstm_backward(params, cache, np.zeros(4))
-        assert np.all(lstm.flatten_params(grads) == 0.0)
+        assert np.all(kernel_gradient(params, seq, np.zeros(4)) == 0.0)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(77)
@@ -217,11 +319,21 @@ class TestLstmBackward:
             params = random_params(rng, n=2, d=3)
             seq = rng.uniform(-1, 1, size=(5, 2))
             y = rng.uniform(-1, 1, size=5)
-            _, cache = lstm.lstm_forward(params, seq)
-            analytic = lstm.flatten_params(lstm.lstm_backward(params, cache, y))
+            analytic = kernel_gradient(params, seq, y)
             numeric = finite_difference_gradient(params, seq, y, eps=1e-5)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+
+    def test_matches_oracle_bptt(self):
+        rng = np.random.default_rng(78)
+        for n, d, L in ((1, 1, 1), (2, 3, 5), (4, 6, 8)):
+            params = random_params(rng, n=n, d=d)
+            seq = rng.uniform(-1, 1, size=(L, n))
+            y = rng.uniform(-1, 1, size=L)
+            np.testing.assert_allclose(
+                kernel_gradient(params, seq, y), oracle_backward(params, seq, y),
+                rtol=1e-12, atol=1e-15,
+            )
 
     def test_duplicated_pair_doubles_summed_gradient(self):
         # Gradients accumulate by summation across subsequences, so a
@@ -241,20 +353,12 @@ class TestLstmBackward:
         doubled_step = init - lstm.flatten_params(doubled)
         np.testing.assert_allclose(doubled_step, 2.0 * solo_step, rtol=0, atol=1e-14)
 
-    def test_stale_cache_rejected(self):
-        rng = np.random.default_rng(4)
-        p1 = random_params(rng, n=2, d=2)
-        p2 = random_params(rng, n=2, d=2)
-        seq = rng.normal(size=(3, 2))
-        _, cache = lstm.lstm_forward(p1, seq)
-        with pytest.raises(ValueError):
-            lstm.lstm_backward(p2, cache, np.zeros(3))
-
     def test_target_shape_mismatch(self):
-        params = lstm.LstmParams.zeros(n=2, d=2)
-        _, cache = lstm.lstm_forward(params, np.zeros((3, 2)))
+        cfg = lstm.TrainConfig(hidden_dim=2, sequence_length=3)
         with pytest.raises(ShapeError):
-            lstm.lstm_backward(params, cache, np.zeros(4))
+            lstm.lstm_train(np.zeros((6, 2)), np.zeros(7), cfg)
+        with pytest.raises(ShapeError):
+            lstm.train_windows(np.zeros((1, 4, 3, 2)), np.zeros((1, 4, 4)), cfg, [1])
 
 
 class TestGradientCheck:
@@ -270,6 +374,25 @@ class TestGradientCheck:
         report = lstm.gradient_check(n_instances=2, seed=11, corrupt=True)
         assert not report.passed
 
+    def test_checks_the_training_backward_pass(self, monkeypatch):
+        # a fault in the kernel's backward pass moves what train_windows
+        # returns and fails the check: both run the same _backward
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, size=(2, 3, 4, 2))
+        Y = rng.uniform(0, 1, size=(2, 3, 4))
+        cfg = lstm.TrainConfig(hidden_dim=2, epochs=2, sequence_length=4, clip_norm=1e9)
+        honest = lstm.train_windows(X, Y, cfg, [1, 2])
+        backward = lstm._backward
+
+        def faulty(*args):
+            g_wx, g_wh, g_b, g_wy, g_by = backward(*args)
+            return g_wx, g_wh, 1.01 * g_b, g_wy, g_by
+
+        monkeypatch.setattr(lstm, "_backward", faulty)
+        broken = lstm.train_windows(X, Y, cfg, [1, 2])
+        assert not np.array_equal(lstm.flatten_params(honest[0]), lstm.flatten_params(broken[0]))
+        assert not lstm.gradient_check(n_instances=2, seed=11).passed
+
 
 def manual_one_epoch(X, y, cfg):
     """Independent spelling of one training epoch: init, per-sequence
@@ -284,8 +407,7 @@ def manual_one_epoch(X, y, cfg):
     for s in range(S):
         seq = X[s : s + L]
         targets = y[s : s + L]
-        _, cache = lstm.lstm_forward(params, seq)
-        grads.append(lstm.flatten_params(lstm.lstm_backward(params, cache, targets)))
+        grads.append(oracle_backward(params, seq, targets))
     g = np.sum(grads, axis=0)
     norm = float(np.sqrt(g @ g))
     scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0
@@ -351,7 +473,7 @@ class TestTraining:
         params = lstm.lstm_train(X, y, cfg)
         L = cfg.sequence_length
         losses = [
-            lstm.lstm_loss(lstm.lstm_forward(params, X[s : s + L])[0], y[s : s + L])
+            lstm.lstm_loss(oracle_forward(params, X[s : s + L])[0], y[s : s + L])
             for s in range(10 - L + 1)
         ]
         assert np.mean(losses) < 1e-3
@@ -364,7 +486,7 @@ class TestTraining:
 
         def window_loss(params):
             subs = [
-                lstm.lstm_loss(lstm.lstm_forward(params, X[s : s + L])[0], y[s : s + L])
+                lstm.lstm_loss(oracle_forward(params, X[s : s + L])[0], y[s : s + L])
                 for s in range(10 - L + 1)
             ]
             return float(np.mean(subs))
@@ -420,8 +542,9 @@ class TestLstmPredict:
         rng = np.random.default_rng(81)
         params = random_params(rng, n=2, d=3)
         seq = rng.normal(size=(5, 2))
-        yhat, _ = lstm.lstm_forward(params, seq)
-        assert lstm.lstm_predict(params, seq) == yhat[-1]
+        yhat, _ = oracle_forward(params, seq)
+        assert lstm.lstm_predict(params, seq) == pytest.approx(yhat[-1], rel=1e-14, abs=1e-16)
+        assert lstm.lstm_predict(params, seq) == kernel_forward(params, seq).Yhat[-1, 0, 0]
 
     def test_bias_only_model(self):
         params = lstm.LstmParams(
@@ -435,8 +558,14 @@ class TestLstmPredict:
         rng = np.random.default_rng(91)
         params = random_params(rng, n=3, d=2)
         x = rng.normal(size=3)
-        _, y_step = lstm.lstm_step(params, lstm.LstmState.zeros(2), x)
-        assert lstm.lstm_predict(params, x[None, :]) == y_step
+        # the first step of a longer sequence is the one-row forecast
+        longer = np.vstack([x, rng.normal(size=(4, 3))])
+        first = kernel_forward(params, longer).Yhat[0, 0, 0]
+        assert lstm.lstm_predict(params, x[None, :]) == pytest.approx(first, rel=1e-14, abs=1e-16)
+        expected, _ = oracle_forward(params, x[None, :])
+        assert lstm.lstm_predict(params, x[None, :]) == pytest.approx(
+            expected[0], rel=1e-14, abs=1e-16
+        )
 
 
 class TestParamPlumbing:
@@ -449,30 +578,6 @@ class TestParamPlumbing:
         np.testing.assert_array_equal(rebuilt.b, params.b)
         np.testing.assert_array_equal(rebuilt.w_y, params.w_y)
         assert rebuilt.b_y == params.b_y
-
-    def test_gate_views_partition_packed_blocks(self):
-        rng = np.random.default_rng(15)
-        params = random_params(rng, n=2, d=3)
-        np.testing.assert_array_equal(
-            np.vstack([params.w_f, params.w_i, params.w_o, params.w_c]), params.w_x
-        )
-        np.testing.assert_array_equal(
-            np.vstack([params.u_f, params.u_i, params.u_o, params.u_c]), params.w_h
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([params.b_f, params.b_i, params.b_o, params.b_c]), params.b
-        )
-
-    def test_dump_format(self):
-        params = lstm.LstmParams.zeros(n=2, d=2)
-        text = lstm.dump_params(params)
-        lines = text.strip().split("\n")
-        # 4d*n + 4d*d + 4d + d + 1 entries
-        assert len(lines) == 16 + 16 + 8 + 2 + 1
-        assert lines[0] == "w_f,0,0,0.0"
-        assert lines[-1] == "b_y,0,0,0.0"
-        name, r, c, v = lines[5].split(",")
-        assert float(v) == 0.0 and r.isdigit() and c.isdigit()
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -114,6 +114,15 @@ class TestLoadMinuteBars:
         with pytest.raises(ParseError):
             md.load_minute_bars(self.write(tmp_path, rows))
 
+    @pytest.mark.parametrize(
+        "price, vix", [("nan", "18.0"), ("inf", "18.0"), ("100.0", "inf"), ("100.0", "nan")]
+    )
+    def test_non_finite_value_rejected(self, tmp_path, price, vix):
+        rows = self.full_day_rows()
+        rows[3] = f"2012-03-05,09:43,{price},{vix}"
+        with pytest.raises(ParseError, match="line 5: .*finite"):
+            md.load_minute_bars(self.write(tmp_path, rows))
+
     def test_short_day_dropped(self, tmp_path, caplog):
         short = [
             f"2012-03-06,{md.minute_to_time(m)},100.0,18.0"

@@ -345,6 +345,31 @@ class TestRunDay:
             assert record.y_naive == direct.y_naive
             assert record.status == direct.status
 
+    def test_lstm_diverged_batch_falls_back_per_window(self, monkeypatch):
+        # a huge init overflows every batch, so each window is retried
+        # alone, diverges again, and falls back to the window mean
+        rows = [r for r in day_rows() if r.minute <= 70]
+        naive = rolling.ModelSpec.naive()
+        spec = rolling.ModelSpec.lstm("vix", TrainConfig(init_scale=1e156, epochs=3))
+        solo = []
+        run_window = rolling.run_window
+
+        def counted(task, which, master_seed=0):
+            if which is spec:
+                solo.append(task.minute)
+            return run_window(task, which, master_seed)
+
+        monkeypatch.setattr(rolling, "run_window", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            records = rolling.run_day(rows, [naive, spec])
+        lstm_records = [r for r in records if r.model == "lstm"]
+        assert len(lstm_records) == 30
+        assert sorted(solo) == [r.minute for r in lstm_records]
+        assert all(r.status == "fallback" for r in lstm_records)
+        assert all(r.y_hat == r.y_naive for r in lstm_records)
+        monkeypatch.setattr(rolling, "run_window", run_window)
+        assert [r for r in records if r.model == "naive"] == rolling.run_day(rows, [naive])
+
     def test_lstm_day_is_deterministic(self):
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(hidden_dim=4, epochs=5))
         a = rolling.run_day(day_rows(), [spec], master_seed=9)

@@ -99,13 +99,15 @@ class TestProperties:
     )
     @example(train=[0.0, 2.2250738585072014e-308], probe=4.0)
     @example(train=[0.0, 1.1e-308], probe=2.0)
+    @example(train=[-1e308, 1e308], probe=0.0)
     def test_round_trip_identity(self, train, probe):
         scaler = scaling.fit_minmax(column(train))
         if 0 not in scaler.degenerate:
-            # the exact scaled value decides whether a float can hold it
+            # the exact span and scaled value decide whether floats can hold them
             lo, hi = min(train), max(train)
-            exact = (Fraction(probe) - Fraction(lo)) / (Fraction(hi) - Fraction(lo))
-            if abs(exact) > sys.float_info.max:
+            span = Fraction(hi) - Fraction(lo)
+            exact = (Fraction(probe) - Fraction(lo)) / span
+            if max(span, abs(exact)) > sys.float_info.max:
                 with pytest.raises(NumericError):
                     scaling.transform(scaler, column([probe]))
                 return
