@@ -30,16 +30,13 @@ from .lstm import TrainConfig, gradient_check
 from .marketdata import (
     CSV_HEADER,
     MIN_USABLE_MINUTES,
-    SESSION_END_MINUTE,
     SESSION_MINUTES,
-    SESSION_START_MINUTE,
     SynthParams,
-    bar_value_errors,
     business_days,
     generate_synthetic_day,
     load_minute_bars,
     minute_to_time,
-    time_to_minute,
+    scan_bars,
 )
 from .metrics import (
     aggregate_report,
@@ -291,81 +288,35 @@ def cmd_synth(config: RunConfig, out_path: str) -> int:
     return EXIT_OK
 
 
-def _scan_bars(path):
-    """One diagnostic pass over a bar CSV; collects instead of raising."""
-    errors: list = []
-    warns: list = []
-    counts: dict = {}
-    last_minute: dict = {}
-    out_of_session = 0
-    n_rows = 0
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            warns.append("file is empty")
-            return errors, warns, counts, n_rows
-        if tuple(h.strip() for h in header) != CSV_HEADER:
-            errors.append(f"line 1: expected header {','.join(CSV_HEADER)}")
-            return errors, warns, counts, n_rows
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            n_rows += 1
-            if len(row) != 4:
-                errors.append(f"line {lineno}: expected 4 fields, got {len(row)}")
-                continue
-            try:
-                day = dt.date.fromisoformat(row[0].strip())
-                minute = time_to_minute(row[1])
-                price = float(row[2])
-                vix = float(row[3])
-            except ValueError as exc:
-                errors.append(f"line {lineno}: {exc}")
-                continue
-            previous = last_minute.get(day)
-            if previous is not None and minute == previous:
-                errors.append(f"line {lineno}: duplicate bar {day} {row[1].strip()}")
-            elif previous is not None and minute < previous:
-                errors.append(f"line {lineno}: non-monotone minutes within {day}")
-            last_minute[day] = minute
-            if not SESSION_START_MINUTE <= minute <= SESSION_END_MINUTE:
-                out_of_session += 1
-                continue
-            errors.extend(f"line {lineno}: {p}" for p in bar_value_errors(price, vix))
-            counts[day] = counts.get(day, 0) + 1
-    if out_of_session:
-        warns.append(f"{out_of_session} out-of-session rows (ignored downstream)")
-    for day in sorted(counts):
-        missing = SESSION_MINUTES - counts[day]
-        if counts[day] < MIN_USABLE_MINUTES:
+def cmd_validate(path: str) -> int:
+    scan = scan_bars(path)
+    warns = ["file is empty"] if scan.empty else []
+    if scan.out_of_session:
+        warns.append(f"{scan.out_of_session} out-of-session rows (ignored downstream)")
+    for day in sorted(scan.by_day):
+        count = len(scan.by_day[day])
+        print(f"{day}: {count} session bars")
+        if count < MIN_USABLE_MINUTES:
             warns.append(
-                f"{day}: only {counts[day]} usable bars (< {MIN_USABLE_MINUTES}); "
+                f"{day}: only {count} usable bars (< {MIN_USABLE_MINUTES}); "
                 "day would be dropped"
             )
-        elif missing > 0:
-            warns.append(f"{day}: {missing} missing session minutes")
-    return errors, warns, counts, n_rows
-
-
-def cmd_validate(path: str) -> int:
-    errors, warns, counts, n_rows = _scan_bars(path)
-    for day in sorted(counts):
-        print(f"{day}: {counts[day]} session bars")
+        elif count < SESSION_MINUTES:
+            warns.append(f"{day}: {SESSION_MINUTES - count} missing session minutes")
     for message in warns:
         print(f"warning: {message}")
-    for message in errors:
+    for message in scan.errors:
         print(f"error: {message}")
     print(
-        f"{path}: {n_rows} data rows, {len(counts)} days, "
-        f"{len(errors)} errors, {len(warns)} warnings"
+        f"{path}: {scan.n_rows} data rows, {len(scan.by_day)} days, "
+        f"{len(scan.errors)} errors, {len(warns)} warnings"
     )
-    return EXIT_OK if not errors else EXIT_DATA
+    return EXIT_OK if not scan.errors else EXIT_DATA
 
 
 def _emit_reports(records, out_dir: Path) -> None:
+    """Write the two derived CSVs and print the aggregate table."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_store(records, out_dir / "predictions.csv")
     daily = compute_daily_metrics(records)
     write_daily_metrics(daily, out_dir / "daily_metrics.csv")
     report = aggregate_report(daily)
@@ -381,6 +332,7 @@ def cmd_run(config: RunConfig) -> int:
     )
     out_dir = Path(config.out)
     _emit_reports(records, out_dir)
+    write_store(records, out_dir / "predictions.csv")
     print(
         f"\n{len(records)} predictions, {len(days)} days, "
         f"{len(roster)} models -> {out_dir}/"

@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import ConfigError, FitError, ShapeError, SingularFitError
-from .marketdata import FeatureRow
 
 __all__ = [
     "Benchmark",
     "OlsFit",
-    "benchmark_design",
     "ols_fit",
     "ols_predict",
 ]
@@ -134,18 +132,3 @@ def ols_predict(fit: OlsFit, x) -> float:
             f"predictor vector of length {fit.n_regressors} required, got shape {x.shape}"
         )
     return float(fit.intercept + x @ fit.coef)
-
-
-def benchmark_design(
-    rows: Sequence[FeatureRow], which: Union[Benchmark, str]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Assemble the (X, y) pair for one benchmark from feature rows.
-
-    y is the five-minute return target; X is the n x 1 matrix holding the
-    benchmark's lagged predictor column.  All five benchmarks share y.
-    """
-    bench = Benchmark.coerce(which)
-    column = bench.feature_name
-    y = np.array([row.r5 for row in rows], dtype=float)
-    X = np.array([[getattr(row, column)] for row in rows], dtype=float)
-    return X, y

@@ -16,7 +16,7 @@ import csv
 import datetime as dt
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,63 +183,89 @@ class SynthParams:
 # ingestion
 # ---------------------------------------------------------------------------
 
-def load_minute_bars(path) -> list[DaySeries]:
-    """Parse a ``date,time,spy_price,vix`` CSV into session-filtered day series.
+@dataclass
+class BarScan:
+    """What one pass over a bar CSV found.
 
-    Rows outside [09:40, 15:50] are dropped. Duplicate (day, minute) pairs and
-    minutes that run backwards within a day are data errors; days with fewer
-    than MIN_USABLE_MINUTES usable bars are dropped and reported via logging.
+    ``by_day`` holds each day's in-session bars in file order, leaving out
+    rows with errors in their values. ``errors`` holds one ``"line N: ..."``
+    message per problem, in file order; the file is usable exactly when it
+    is empty. ``n_rows`` counts the non-blank rows after the header.
     """
-    by_day: dict[dt.date, list[MinuteBar]] = {}
-    last_raw: dict[dt.date, int] = {}
-    out_of_session = 0
 
+    by_day: dict[dt.date, list[MinuteBar]] = field(default_factory=dict)
+    errors: list[str] = field(default_factory=list)
+    n_rows: int = 0
+    out_of_session: int = 0
+    empty: bool = False
+
+
+def scan_bars(path) -> BarScan:
+    """Read a ``date,time,spy_price,vix`` CSV in one pass, collecting every error.
+
+    A row with the wrong field count or an unparseable date, time or number
+    is reported and otherwise ignored. Duplicate (day, minute) pairs and
+    minutes that run backwards within a day are errors. Rows outside
+    [09:40, 15:50] are counted and dropped before their values are checked.
+    """
+    scan = BarScan()
+    last_minute: dict[dt.date, int] = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return []
+        header = next(reader, None)
+        if header is None:
+            scan.empty = True
+            return scan
         if tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ParseError(f"line 1: expected header {','.join(CSV_HEADER)}")
+            scan.errors.append(f"line 1: expected header {','.join(CSV_HEADER)}")
+            return scan
         for lineno, row in enumerate(reader, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            scan.n_rows += 1
             if len(row) != 4:
-                raise ParseError(f"line {lineno}: expected 4 fields, got {len(row)}")
+                scan.errors.append(f"line {lineno}: expected 4 fields, got {len(row)}")
+                continue
             try:
                 day = dt.date.fromisoformat(row[0].strip())
                 minute = time_to_minute(row[1])
                 price = float(row[2])
                 vix = float(row[3])
             except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            prev = last_raw.get(day)
-            if prev is not None:
-                if minute == prev:
-                    raise DataError(
-                        f"line {lineno}: duplicate bar {day} {row[1].strip()}"
-                    )
-                if minute < prev:
-                    raise DataError(
-                        f"line {lineno}: non-monotone minutes within {day}"
-                    )
-            last_raw[day] = minute
-            if not SESSION_START_MINUTE <= minute <= SESSION_END_MINUTE:
-                out_of_session += 1
+                scan.errors.append(f"line {lineno}: {exc}")
                 continue
-            try:
-                bar = MinuteBar(day=day, minute=minute, spy_price=price, vix_annual=vix)
-            except DataError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
-            by_day.setdefault(day, []).append(bar)
+            previous = last_minute.get(day)
+            if previous == minute:
+                scan.errors.append(f"line {lineno}: duplicate bar {day} {row[1].strip()}")
+            elif previous is not None and minute < previous:
+                scan.errors.append(f"line {lineno}: non-monotone minutes within {day}")
+            last_minute[day] = minute
+            if not SESSION_START_MINUTE <= minute <= SESSION_END_MINUTE:
+                scan.out_of_session += 1
+                continue
+            problems = bar_value_errors(price, vix)
+            scan.errors.extend(f"line {lineno}: {p}" for p in problems)
+            if not problems:
+                scan.by_day.setdefault(day, []).append(MinuteBar(day, minute, price, vix))
+    return scan
 
-    if out_of_session:
-        logger.debug("dropped %d out-of-session rows", out_of_session)
+
+def load_minute_bars(path) -> list[DaySeries]:
+    """Parse a ``date,time,spy_price,vix`` CSV into session-filtered day series.
+
+    The file is read by :func:`scan_bars`, and its first error raises
+    :class:`ParseError`. Days with fewer than MIN_USABLE_MINUTES usable
+    bars are dropped and reported via logging.
+    """
+    scan = scan_bars(path)
+    if scan.errors:
+        raise ParseError(scan.errors[0])
+    if scan.out_of_session:
+        logger.debug("dropped %d out-of-session rows", scan.out_of_session)
 
     days = []
-    for day in sorted(by_day):
-        bars = by_day[day]
+    for day in sorted(scan.by_day):
+        bars = scan.by_day[day]
         if len(bars) < MIN_USABLE_MINUTES:
             logger.warning(
                 "dropping %s: only %d usable minutes (< %d)",

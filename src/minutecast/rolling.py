@@ -401,96 +401,108 @@ def _forecast_sequence(x_train: np.ndarray, x_test: np.ndarray, length: int) -> 
     return np.vstack([x_train[-(length - 1):], x_test[None, :]])
 
 
-def _fit_predict(spec: ModelSpec, prep: _PreparedWindow, seed: int) -> float:
-    if spec.family is ModelFamily.OLS_BENCH:
-        fit = ols_fit(prep.x_train, prep.y_train)
-        return ols_predict(fit, prep.x_test)
-    if spec.family is ModelFamily.LSTM:
-        config = replace(spec.train_config, seed=seed)
-        params = lstm_train(prep.x_train, prep.y_train, config)
-        sequence = _forecast_sequence(prep.x_train, prep.x_test, config.sequence_length)
-        return lstm_predict(params, sequence)
-    config = replace(spec.forest_config, seed=seed)
-    forest = rf_fit(prep.x_train, prep.y_train, config)
-    return rf_predict(forest, prep.x_test)
+def _window_forecasts(spec: ModelSpec, preps, seeds) -> list:
+    """OLS or RF: fit and forecast window by window; None where a fit fails."""
+    forecasts = []
+    for prep, seed in zip(preps, seeds):
+        try:
+            if spec.family is ModelFamily.OLS_BENCH:
+                forecast = ols_predict(ols_fit(prep.x_train, prep.y_train), prep.x_test)
+            else:
+                config = replace(spec.forest_config, seed=seed)
+                forecast = rf_predict(rf_fit(prep.x_train, prep.y_train, config), prep.x_test)
+        except (FitError, NumericError):
+            forecast = None
+        forecasts.append(forecast)
+    return forecasts
 
 
-def _finish(task: WindowTask, spec: ModelSpec, prep: _PreparedWindow, yhat_scaled: float):
-    target_column = prep.scaler.n_columns - 1
-    y_hat = inverse_transform_target(prep.scaler, float(yhat_scaled), target_column)
-    if not math.isfinite(y_hat):
-        return _record(task, spec, prep.y_naive, prep.y_naive, STATUS_FALLBACK)
-    return _record(task, spec, y_hat, prep.y_naive, STATUS_OK)
+def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
+    """LSTM: train same-length windows as one batch; None where a window falls back.
+
+    All windows with the same row count share tensor shapes, so they train
+    as one call with per-window seeds; results per window do not depend on
+    which other windows shared the batch. A window with no more rows than
+    the sequence length cannot form a training subsequence and falls back.
+    """
+    config = spec.train_config
+    length = config.sequence_length
+    forecasts = [None] * len(preps)
+    groups: dict = {}
+    for i, prep in enumerate(preps):
+        if prep.x_train.shape[0] > length:
+            groups.setdefault(prep.x_train.shape[0], []).append(i)
+
+    for _, members in sorted(groups.items()):
+        X = np.stack([
+            sliding_window_view(preps[i].x_train, length, axis=0).transpose(0, 2, 1)
+            for i in members
+        ])
+        Y = np.stack([sliding_window_view(preps[i].y_train, length) for i in members])
+        try:
+            fitted = train_windows(X, Y, config, [seeds[i] for i in members])
+        except NumericError:
+            # a diverged window poisons the whole batch; retrain each alone
+            fitted = [_lstm_solo(preps[i], replace(config, seed=seeds[i])) for i in members]
+        for i, params in zip(members, fitted):
+            if params is None:
+                continue
+            prep = preps[i]
+            try:
+                forecasts[i] = lstm_predict(
+                    params, _forecast_sequence(prep.x_train, prep.x_test, length)
+                )
+            except NumericError:
+                pass
+    return forecasts
+
+
+def _lstm_solo(prep: _PreparedWindow, config: TrainConfig):
+    try:
+        return lstm_train(prep.x_train, prep.y_train, config)
+    except NumericError:
+        return None
+
+
+def _finish(spec: ModelSpec, prep: _PreparedWindow, yhat_scaled) -> PredictionRecord:
+    task = prep.task
+    if yhat_scaled is not None:
+        target_column = prep.scaler.n_columns - 1
+        y_hat = inverse_transform_target(prep.scaler, float(yhat_scaled), target_column)
+        if math.isfinite(y_hat):
+            return _record(task, spec, y_hat, prep.y_naive, STATUS_OK)
+    return _record(task, spec, prep.y_naive, prep.y_naive, STATUS_FALLBACK)
+
+
+def _run_model(
+    tasks: Sequence[WindowTask], spec: ModelSpec, master_seed: int
+) -> List[PredictionRecord]:
+    """One model over every task, one record per task in task order.
+
+    Impossible inputs are recorded as skipped and the naive model needs no
+    fit. Every other window is fitted on its scaled training rows with a
+    seed derived from (master seed, day, minute, model key); its forecast
+    is mapped back to return units, and a fit that fails falls back to the
+    training-window mean.
+    """
+    prepared = [_prepare_window(task, spec) for task in tasks]
+    preps = [prep for _, prep in prepared if prep is not None]
+    seeds = [derive_seed(master_seed, p.task.day, p.task.minute, spec.key) for p in preps]
+    forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
+    forecasts = iter(forecast(spec, preps, seeds))
+    return [
+        record if prep is None else _finish(spec, prep, next(forecasts))
+        for record, prep in prepared
+    ]
 
 
 def run_window(task: WindowTask, spec: ModelSpec, master_seed: int = 0) -> PredictionRecord:
     """Fit one model on one window and forecast the test minute.
 
-    The model sees only scaled training rows; the forecast is mapped back
-    to return units before recording.  A failed fit falls back to the
-    training-window mean, and impossible inputs are recorded as skipped,
-    so every schedulable minute yields a record for every model.
+    The same path as :func:`run_day` over a one-task schedule, so every
+    schedulable minute yields a record for every model.
     """
-    record, prep = _prepare_window(task, spec)
-    if record is not None:
-        return record
-    seed = derive_seed(master_seed, task.day, task.minute, spec.key)
-    try:
-        yhat_scaled = _fit_predict(spec, prep, seed)
-    except (FitError, NumericError):
-        return _record(task, spec, prep.y_naive, prep.y_naive, STATUS_FALLBACK)
-    return _finish(task, spec, prep, yhat_scaled)
-
-
-def _run_day_lstm(tasks, spec: ModelSpec, master_seed: int) -> List[PredictionRecord]:
-    """Same records as run_window per task, computed batch-wise.
-
-    All windows of a day with the same row count share tensor shapes, so
-    they train as one call with per-window seeds; results per window do not
-    depend on which other windows shared the batch.
-    """
-    config = spec.train_config
-    length = config.sequence_length
-    out = {}
-    groups: dict = {}
-    for task in tasks:
-        record, prep = _prepare_window(task, spec)
-        if record is not None:
-            out[task.minute] = record
-            continue
-        if prep.x_train.shape[0] < length + 1:
-            out[task.minute] = _record(
-                task, spec, prep.y_naive, prep.y_naive, STATUS_FALLBACK
-            )
-            continue
-        groups.setdefault(prep.x_train.shape[0], []).append(prep)
-
-    for _, preps in sorted(groups.items()):
-        X = np.stack(
-            [sliding_window_view(p.x_train, length, axis=0).transpose(0, 2, 1) for p in preps]
-        )
-        Y = np.stack([sliding_window_view(p.y_train, length) for p in preps])
-        seeds = [
-            derive_seed(master_seed, p.task.day, p.task.minute, spec.key) for p in preps
-        ]
-        try:
-            fitted = train_windows(X, Y, config, seeds)
-        except NumericError:
-            # a diverged window poisons the whole batch; isolate per task
-            for p in preps:
-                out[p.task.minute] = run_window(p.task, spec, master_seed)
-            continue
-        for p, params in zip(preps, fitted):
-            sequence = _forecast_sequence(p.x_train, p.x_test, length)
-            try:
-                yhat_scaled = lstm_predict(params, sequence)
-            except NumericError:
-                out[p.task.minute] = _record(
-                    p.task, spec, p.y_naive, p.y_naive, STATUS_FALLBACK
-                )
-                continue
-            out[p.task.minute] = _finish(p.task, spec, p, yhat_scaled)
-    return [out[task.minute] for task in tasks]
+    return _run_model([task], spec, master_seed)[0]
 
 
 def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:
@@ -513,10 +525,7 @@ def run_day(
     tasks = schedule_day(rows)
     records: List[PredictionRecord] = []
     for spec in roster:
-        if spec.family is ModelFamily.LSTM:
-            records.extend(_run_day_lstm(tasks, spec, master_seed))
-        else:
-            records.extend(run_window(task, spec, master_seed) for task in tasks)
+        records.extend(_run_model(tasks, spec, master_seed))
     records.sort(key=lambda r: (r.minute, r.model, r.predictor_set))
     return records
 

