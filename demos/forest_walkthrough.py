@@ -5,14 +5,17 @@ import numpy as np
 from minutecast import forest
 
 
-def show(node, depth=0):
-    pad = "  " * depth
-    if isinstance(node, forest.Leaf):
-        print(f"{pad}leaf value={node.value:.3f} n={node.n_samples}")
-    else:
-        print(f"{pad}x[{node.split_var}] <= {node.threshold:.3f} ?")
-        show(node.left, depth + 1)
-        show(node.right, depth + 1)
+def show(tree):
+    """Print the node table: one row per node, in preorder."""
+    print("  row  feature  threshold  right   value")
+    for i, (f, thr, right, value) in enumerate(
+        zip(tree.feature, tree.threshold, tree.right, tree.value)
+    ):
+        if f < 0:
+            print(f"  {i:3d}     leaf                     {value:6.3f}")
+        else:
+            print(f"  {i:3d}  x[{f}] <=  {thr:8.3f}  {right:5d}")
+    print("  (a split's left child is the next row; its right child is row `right`)")
 
 
 def main():
@@ -25,13 +28,14 @@ def main():
     config = forest.ForestConfig(n_trees=1, min_leaf=20, max_features=1)
     tree = forest.grow_tree(X, y, config, np.random.default_rng(0))
     print("single tree on a noisy three-step function (min_leaf=20):")
-    show(tree.root)
+    show(tree)
 
     x = np.array([0.5])
     basis = forest.leaf_basis(tree, x)
-    print(f"\nleaf basis at x=0.5: {basis}  (one hot over {tree.n_leaves} leaves)")
+    leaf_means = tree.value[tree.feature < 0]
+    print(f"\nleaf basis at x=0.5: {basis}  (one hot over {len(basis)} leaves, in row order)")
     print(f"prediction via routing:     {forest.tree_predict(tree, x):.3f}")
-    print(f"prediction via basis * means: {forest.predict_from_basis(tree, x):.3f}")
+    print(f"prediction via basis * means: {basis @ leaf_means:.3f}")
 
     # the bootstrap draws whole contiguous blocks (wrapping at the end) so
     # neighboring rows stay together, which matters for serial data

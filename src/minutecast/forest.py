@@ -7,17 +7,19 @@ consecutive distinct sorted values.  Ties break toward the lowest column
 index and then the lowest threshold, which makes growth deterministic
 given the feature-subset draws.
 
-Node positions follow the heap convention: the children of position j
-sit at 2j+1 and 2j+2.  A tree also carries its leaf-basis reading: each
-leaf's basis function is the literal product of path indicators, and
-exactly one basis function is 1 at any input.
+A tree is stored as a flat node table in preorder (see Tree): a split's
+left child is the next row and its right child is the row it names, so
+growth appends one row per node and no node position is ever computed.
+A tree also carries its leaf-basis reading: each leaf's basis function
+is the literal product of path indicators, and exactly one basis
+function is 1 at any input.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import FrozenSet, List, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -26,72 +28,37 @@ from .errors import ConfigError, FitError, ShapeError
 __all__ = [
     "Forest",
     "ForestConfig",
-    "Leaf",
-    "Split",
     "Tree",
-    "TreeNode",
     "block_bootstrap_indices",
     "grow_tree",
     "leaf_basis",
-    "predict_from_basis",
     "rf_fit",
     "rf_predict",
     "tree_predict",
 ]
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal region: predicts the mean of its routed training targets."""
-
-    value: float
-    n_samples: int
-
-
-@dataclass(frozen=True)
-class Split:
-    """Internal node: x[split_var] <= threshold routes left."""
-
-    split_var: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Union[Leaf, Split]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    root: TreeNode
+    """A regression tree as a node table in preorder; row 0 is the root.
+
+    Row i is a leaf when feature[i] == -1 and then predicts value[i].
+    Otherwise x[feature[i]] <= threshold[i] routes to the left child,
+    row i + 1, and anything else to the right child, row right[i]. The
+    fields that do not apply to a row (threshold and right at a leaf,
+    value at a split) hold NaN and -1. Trees compare by identity; compare
+    the field arrays to compare structure.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
     n_features: int
 
-    def _positions(self) -> Tuple[FrozenSet[int], FrozenSet[int]]:
-        parents, leaves = set(), set()
-        stack = [(self.root, 0)]
-        while stack:
-            node, pos = stack.pop()
-            if isinstance(node, Leaf):
-                leaves.add(pos)
-            else:
-                parents.add(pos)
-                stack.append((node.left, 2 * pos + 1))
-                stack.append((node.right, 2 * pos + 2))
-        return frozenset(parents), frozenset(leaves)
 
-    @property
-    def parent_positions(self) -> FrozenSet[int]:
-        """Heap positions of the internal nodes."""
-        return self._positions()[0]
-
-    @property
-    def leaf_positions(self) -> FrozenSet[int]:
-        """Heap positions of the terminal nodes."""
-        return self._positions()[1]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self._positions()[1])
+# growth appends one record per node, so a finished tree is one conversion
+_NODE = np.dtype([("feature", np.intp), ("threshold", float), ("right", np.intp), ("value", float)])
 
 
 @dataclass(frozen=True)
@@ -177,35 +144,42 @@ def _best_split(X, y, min_leaf: int, columns):
     return best
 
 
-def _grow(X, y, min_leaf: int, max_features: int, rng) -> TreeNode:
-    m = y.shape[0]
-    if m < 2 * min_leaf or np.all(y == y[0]):
-        return Leaf(value=float(y.mean()), n_samples=m)
-    k = X.shape[1]
-    if max_features < k:
-        columns = np.sort(rng.choice(k, size=max_features, replace=False))
-    else:
-        columns = np.arange(k)
-    best = _best_split(X, y, min_leaf, columns)
+def _grow(X, y, min_leaf: int, max_features: int, rng, rows: list) -> None:
+    """Append the rows of the subtree fitted to (X, y) to rows, in preorder."""
+    best = None
+    if y.shape[0] >= 2 * min_leaf and not np.all(y == y[0]):
+        k = X.shape[1]
+        if max_features < k:
+            columns = np.sort(rng.choice(k, size=max_features, replace=False))
+        else:
+            columns = np.arange(k)
+        best = _best_split(X, y, min_leaf, columns)
     if best is None:
-        return Leaf(value=float(y.mean()), n_samples=m)
+        rows.append((-1, np.nan, -1, float(y.mean())))
+        return
     _, col, thr = best
     mask = X[:, col] <= thr
-    return Split(
-        split_var=col,
-        threshold=thr,
-        left=_grow(X[mask], y[mask], min_leaf, max_features, rng),
-        right=_grow(X[~mask], y[~mask], min_leaf, max_features, rng),
+    node = len(rows)
+    rows.append(None)
+    _grow(X[mask], y[mask], min_leaf, max_features, rng, rows)
+    rows[node] = (col, thr, len(rows), np.nan)
+    _grow(X[~mask], y[~mask], min_leaf, max_features, rng, rows)
+
+
+def _build_tree(X, y, min_leaf: int, max_features: int, rng) -> Tree:
+    rows = []
+    _grow(X, y, min_leaf, max_features, rng, rows)
+    table = np.array(rows, dtype=_NODE)
+    return Tree(
+        feature=table["feature"],
+        threshold=table["threshold"],
+        right=table["right"],
+        value=table["value"],
+        n_features=X.shape[1],
     )
 
 
-def grow_tree(X, y, config: ForestConfig, rng) -> Tree:
-    """Grow one CART regression tree.
-
-    Splitting stops when a node is pure, has fewer than 2*min_leaf rows,
-    or no threshold leaves min_leaf rows on both sides; such nodes become
-    leaves predicting their target mean (never an error).
-    """
+def _training_data(X, y):
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -216,96 +190,67 @@ def grow_tree(X, y, config: ForestConfig, rng) -> Tree:
         raise FitError("cannot grow a tree from zero rows")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise FitError("non-finite values in tree training data")
-    mf = config.resolve_max_features(X.shape[1])
-    return Tree(root=_grow(X, y, config.min_leaf, mf, rng), n_features=X.shape[1])
+    return X, y
+
+
+def grow_tree(X, y, config: ForestConfig, rng) -> Tree:
+    """Grow one CART regression tree.
+
+    Splitting stops when a node is pure, has fewer than 2*min_leaf rows,
+    or no threshold leaves min_leaf rows on both sides; such nodes become
+    leaves predicting their target mean (never an error).
+    """
+    X, y = _training_data(X, y)
+    return _build_tree(X, y, config.min_leaf, config.resolve_max_features(X.shape[1]), rng)
+
+
+def _checked_input(tree: Tree, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (tree.n_features,):
+        raise ShapeError(f"expected vector of length {tree.n_features}, got shape {x.shape}")
+    return x
 
 
 def tree_predict(tree: Tree, x) -> float:
     """Route x down the tree (<= goes left) and return its leaf mean."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tree.n_features,):
-        raise ShapeError(f"expected vector of length {tree.n_features}, got shape {x.shape}")
-    node = tree.root
-    while isinstance(node, Split):
-        node = node.left if x[node.split_var] <= node.threshold else node.right
-    return node.value
-
-
-def _leaf_paths(tree: Tree) -> List[Tuple[int, Leaf, Tuple[Tuple[int, float, bool], ...]]]:
-    """Leaves in ascending heap-position order with their path conditions.
-
-    Each condition is (split_var, threshold, went_left).
-    """
-    found = []
-
-    def walk(node, pos, conds):
-        if isinstance(node, Leaf):
-            found.append((pos, node, tuple(conds)))
-            return
-        walk(node.left, 2 * pos + 1, conds + [(node.split_var, node.threshold, True)])
-        walk(node.right, 2 * pos + 2, conds + [(node.split_var, node.threshold, False)])
-
-    walk(tree.root, 0, [])
-    found.sort(key=lambda item: item[0])
-    return found
+    x = _checked_input(tree, x)
+    i = 0
+    while tree.feature[i] >= 0:
+        i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else tree.right[i]
+    return float(tree.value[i])
 
 
 def leaf_basis(tree: Tree, x) -> np.ndarray:
-    """Evaluate every leaf's basis function at x, in heap-position order.
+    """Evaluate every leaf's basis function at x, leaves in preorder.
 
-    Computed as the literal product of path indicators rather than by
-    routing, so it independently witnesses the partition-of-unity
-    property of the tree.
+    Each value is the literal product of the path indicators from the root
+    down to its leaf, multiplied down both branches of every split, rather
+    than the result of routing; so it independently witnesses the
+    partition-of-unity property of the tree.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tree.n_features,):
-        raise ShapeError(f"expected vector of length {tree.n_features}, got shape {x.shape}")
-    values = np.empty(tree.n_leaves)
-    for i, (_, _, conds) in enumerate(_leaf_paths(tree)):
-        prod = 1.0
-        for var, thr, went_left in conds:
-            indicator = 1.0 if x[var] <= thr else 0.0
-            prod *= indicator if went_left else 1.0 - indicator
-        values[i] = prod
-    return values
-
-
-def predict_from_basis(tree: Tree, x) -> float:
-    """Evaluate the tree as a weighted sum of leaf basis functions."""
-    basis = leaf_basis(tree, x)
-    betas = np.array([leaf.value for _, leaf, _ in _leaf_paths(tree)])
-    return float(basis @ betas)
+    x = _checked_input(tree, x)
+    reach = np.empty(tree.feature.shape[0])
+    reach[0] = 1.0
+    for i in np.flatnonzero(tree.feature >= 0):
+        indicator = 1.0 if x[tree.feature[i]] <= tree.threshold[i] else 0.0
+        reach[i + 1] = reach[i] * indicator
+        reach[tree.right[i]] = reach[i] * (1.0 - indicator)
+    return reach[tree.feature < 0]
 
 
 def block_bootstrap_indices(n: int, block_length: int, rng) -> np.ndarray:
     """Circular block bootstrap: concatenated wrapped blocks, truncated to n.
 
     Each block starts uniformly in [0, n) and runs block_length positions
-    modulo n, so every observation has equal inclusion probability.
+    modulo n, so every observation has equal inclusion probability. All
+    block starts are drawn in one call.
     """
     if n < 1:
         raise ValueError(f"need at least one observation, got n={n}")
     if block_length < 1:
         raise ValueError(f"block_length must be >= 1, got {block_length}")
-    out = np.empty(n, dtype=np.intp)
-    filled = 0
-    while filled < n:
-        start = int(rng.integers(0, n))
-        take = min(block_length, n - filled)
-        out[filled : filled + take] = (start + np.arange(take)) % n
-        filled += take
-    return out
-
-
-def _remap_columns(node: TreeNode, columns: np.ndarray) -> TreeNode:
-    if isinstance(node, Leaf):
-        return node
-    return Split(
-        split_var=int(columns[node.split_var]),
-        threshold=node.threshold,
-        left=_remap_columns(node.left, columns),
-        right=_remap_columns(node.right, columns),
-    )
+    starts = rng.integers(0, n, size=math.ceil(n / block_length))
+    return ((starts[:, None] + np.arange(block_length)) % n).ravel()[:n]
 
 
 def rf_fit(X, y, config: ForestConfig) -> Forest:
@@ -315,18 +260,9 @@ def rf_fit(X, y, config: ForestConfig) -> Forest:
     always consumes its draws in the same order (bootstrap rows first,
     then feature subsets), so the forest is reproducible run to run. In
     per-tree mode the subset is drawn once and the tree grows on that
-    column slice, with split variables remapped to original indices.
+    column slice, with split variables mapped back to original indices.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-D, got ndim={X.ndim}")
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"y shape {y.shape} does not match {X.shape[0]} rows")
-    if y.shape[0] < 1:
-        raise FitError("cannot fit a forest on zero rows")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise FitError("non-finite values in forest training data")
+    X, y = _training_data(X, y)
     n, k = X.shape
     mf = config.resolve_max_features(k)
 
@@ -338,11 +274,11 @@ def rf_fit(X, y, config: ForestConfig) -> Forest:
         yb = y[rows]
         if config.feature_mode == "per-tree":
             columns = np.sort(rng.choice(k, size=mf, replace=False))
-            sub_config = replace(config, max_features=mf)
-            sub = grow_tree(Xb[:, columns], yb, sub_config, rng)
-            trees.append(Tree(root=_remap_columns(sub.root, columns), n_features=k))
+            sub = _build_tree(Xb[:, columns], yb, config.min_leaf, mf, rng)
+            feature = np.where(sub.feature >= 0, columns[sub.feature], -1)
+            trees.append(replace(sub, feature=feature, n_features=k))
         else:
-            trees.append(grow_tree(Xb, yb, config, rng))
+            trees.append(_build_tree(Xb, yb, config.min_leaf, mf, rng))
     return Forest(trees=tuple(trees), config=config)
 
 

@@ -30,6 +30,7 @@ from minutecast.metrics import (
 )
 from minutecast.rolling import ModelSpec, run_day, run_sample, schedule_day
 from minutecast.scaling import fit_minmax, inverse_transform_target, transform
+from test_forest import assert_trees_equal
 
 DAY = dt.date(2021, 3, 1)
 
@@ -106,10 +107,10 @@ def test_criterion_3_tree_and_forest_structure():
         tree = forest.grow_tree(X, y, config, np.random.default_rng(trial))
         candidates = exhaustive_root_splits(X, y, 1)
         assert candidates
-        assert isinstance(tree.root, forest.Split)
+        assert tree.feature[0] >= 0
         chosen = [
             sse for sse, col, thr in candidates
-            if col == tree.root.split_var and thr == tree.root.threshold
+            if col == tree.feature[0] and thr == tree.threshold[0]
         ]
         assert len(chosen) == 1
         best_sse = candidates[0][0]
@@ -119,7 +120,7 @@ def test_criterion_3_tree_and_forest_structure():
             candidates[1][0] - best_sse if len(candidates) > 1 else np.inf
         )
         if runner_up_gap > tol:
-            assert (tree.root.split_var, tree.root.threshold) \
+            assert (tree.feature[0], tree.threshold[0]) \
                 == (candidates[0][1], candidates[0][2])
 
     # forest prediction is exactly the mean over trees
@@ -146,7 +147,7 @@ def test_criterion_3_tree_and_forest_structure():
     )
     degenerate = forest.rf_fit(X, y, config)
     cart = forest.grow_tree(X, y, config, np.random.default_rng(0))
-    assert degenerate.trees[0] == cart
+    assert_trees_equal(degenerate.trees[0], cart)
     for _ in range(50):
         x = rng.normal(size=3)
         assert forest.rf_predict(degenerate, x) == forest.tree_predict(cart, x)

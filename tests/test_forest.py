@@ -6,6 +6,8 @@ from child means.  The production path uses prefix sums, so agreement
 is meaningful.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,46 +36,77 @@ def exhaustive_root_split(X, y, min_leaf):
     return best
 
 
-def collect_split_vars(node, acc=None):
-    if acc is None:
-        acc = set()
-    if isinstance(node, forest.Split):
-        acc.add(node.split_var)
-        collect_split_vars(node.left, acc)
-        collect_split_vars(node.right, acc)
-    return acc
+def make_tree(feature, threshold, right, value, n_features):
+    return forest.Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=float),
+        n_features=n_features,
+    )
 
 
-def collect_leaves(node, acc=None):
-    if acc is None:
-        acc = []
-    if isinstance(node, forest.Leaf):
-        acc.append(node)
-    else:
-        collect_leaves(node.left, acc)
-        collect_leaves(node.right, acc)
-    return acc
+def assert_trees_equal(a, b):
+    """Every field of the two node tables matches, NaN equal to NaN."""
+    assert a.n_features == b.n_features
+    for name in ("feature", "threshold", "right", "value"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name), strict=True)
+
+
+def assert_forests_equal(a, b):
+    assert a.config == b.config
+    assert len(a.trees) == len(b.trees)
+    for tree_a, tree_b in zip(a.trees, b.trees):
+        assert_trees_equal(tree_a, tree_b)
+
+
+def heap_positions(tree):
+    """(parent, leaf) heap positions; the children of j sit at 2j+1 and 2j+2."""
+    split = tree.feature >= 0
+    position = {0: 0}
+    for i in np.flatnonzero(split):
+        position[i + 1] = 2 * position[i] + 1
+        position[tree.right[i]] = 2 * position[i] + 2
+    return ({position[i] for i in np.flatnonzero(split)},
+            {position[i] for i in np.flatnonzero(~split)})
+
+
+def routed_leaf(tree, x):
+    """Row of the leaf that x reaches, walking the table by hand."""
+    i = 0
+    while tree.feature[i] != -1:
+        i = i + 1 if x[tree.feature[i]] <= tree.threshold[i] else int(tree.right[i])
+    return i
+
+
+def predict_from_basis(tree, x):
+    """The tree as a weighted sum of its leaf basis functions."""
+    return float(forest.leaf_basis(tree, x) @ tree.value[tree.feature < 0])
+
+
+def oracle_block_bootstrap(n, block_length, rng):
+    """Block starts drawn one at a time, each block cut to what is still missing."""
+    out = np.empty(n, dtype=np.intp)
+    filled = 0
+    while filled < n:
+        start = int(rng.integers(0, n))
+        take = min(block_length, n - filled)
+        out[filled : filled + take] = (start + np.arange(take)) % n
+        filled += take
+    return out
 
 
 def figure_tree():
     """Hand-built topology: parents at heap positions {0, 2, 5},
-    leaves at {1, 6, 11, 12}."""
-    inner = forest.Split(
-        split_var=0, threshold=7.0,
-        left=forest.Leaf(value=3.0, n_samples=2),   # position 11
-        right=forest.Leaf(value=4.0, n_samples=2),  # position 12
+    leaves at {1, 6, 11, 12}; rows in preorder."""
+    return make_tree(
+        feature=[0, -1, 1, 0, -1, -1, -1],
+        threshold=[10.0, np.nan, 0.5, 7.0, np.nan, np.nan, np.nan],
+        right=[2, -1, 6, 5, -1, -1, -1],
+        # positions 0, 1, 2, 5, 11, 12, 6
+        value=[np.nan, 1.0, np.nan, np.nan, 3.0, 4.0, 2.0],
+        n_features=2,
     )
-    right = forest.Split(
-        split_var=1, threshold=0.5,
-        left=inner,                                  # position 5
-        right=forest.Leaf(value=2.0, n_samples=3),   # position 6
-    )
-    root = forest.Split(
-        split_var=0, threshold=10.0,
-        left=forest.Leaf(value=1.0, n_samples=4),    # position 1
-        right=right,                                 # position 2
-    )
-    return forest.Tree(root=root, n_features=2)
 
 
 class TestGrowTree:
@@ -81,9 +114,8 @@ class TestGrowTree:
         X = np.arange(12.0).reshape(-1, 1)
         tree = forest.grow_tree(X, np.full(12, 2.5), forest.ForestConfig(min_leaf=1),
                                 np.random.default_rng(0))
-        assert isinstance(tree.root, forest.Leaf)
-        assert tree.root.value == 2.5
-        assert tree.root.n_samples == 12
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == 2.5
 
     def test_hand_worked_split(self):
         # candidates 1.5, 2.5, 3.5; SSE 66.67, 0, 66.67 -> split at 2.5
@@ -91,9 +123,8 @@ class TestGrowTree:
         y = np.array([0.0, 0.0, 10.0, 10.0])
         cfg = forest.ForestConfig(min_leaf=1, max_features=1)
         tree = forest.grow_tree(X, y, cfg, np.random.default_rng(0))
-        assert isinstance(tree.root, forest.Split)
-        assert tree.root.threshold == 2.5
-        assert tree.root.split_var == 0
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 2.5
         assert forest.tree_predict(tree, np.array([1.5])) == 0.0
         assert forest.tree_predict(tree, np.array([3.7])) == 10.0
 
@@ -102,14 +133,14 @@ class TestGrowTree:
         y = np.arange(8.0)
         tree = forest.grow_tree(X, y, forest.ForestConfig(min_leaf=8),
                                 np.random.default_rng(0))
-        assert isinstance(tree.root, forest.Leaf)
-        assert tree.root.value == pytest.approx(3.5)
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == pytest.approx(3.5)
 
     def test_small_sample_single_leaf(self):
         X = np.array([[1.0], [2.0], [3.0]])
         tree = forest.grow_tree(X, np.array([1.0, 2.0, 9.0]),
                                 forest.ForestConfig(min_leaf=2), np.random.default_rng(0))
-        assert isinstance(tree.root, forest.Leaf)
+        assert tree.feature.tolist() == [-1]
 
     def test_root_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
@@ -121,19 +152,17 @@ class TestGrowTree:
             cfg = forest.ForestConfig(min_leaf=1, max_features=k)
             tree = forest.grow_tree(X, y, cfg, np.random.default_rng(0))
             oracle = exhaustive_root_split(X, y, min_leaf=1)
-            assert isinstance(tree.root, forest.Split)
-            assert tree.root.split_var == oracle[1]
-            assert tree.root.threshold == pytest.approx(oracle[2], abs=1e-12)
+            assert tree.feature[0] == oracle[1]
+            assert tree.threshold[0] == pytest.approx(oracle[2], abs=1e-12)
 
     def test_duplicate_values_split_between_distinct_only(self):
         X = np.array([[1.0], [1.0], [1.0], [2.0], [2.0], [2.0]])
         y = np.array([0.0, 0.0, 0.0, 6.0, 6.0, 6.0])
         cfg = forest.ForestConfig(min_leaf=1, max_features=1)
         tree = forest.grow_tree(X, y, cfg, np.random.default_rng(0))
-        assert isinstance(tree.root, forest.Split)
-        assert tree.root.threshold == 1.5
-        assert isinstance(tree.root.left, forest.Leaf)
-        assert isinstance(tree.root.right, forest.Leaf)
+        assert tree.threshold[0] == 1.5
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.right[0] == 2
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(7)
@@ -143,17 +172,10 @@ class TestGrowTree:
         tree = forest.grow_tree(X, y, cfg, np.random.default_rng(1))
         routed = {}
         for row, target in zip(X, y):
-            node = tree.root
-            path = []
-            while isinstance(node, forest.Split):
-                go_left = row[node.split_var] <= node.threshold
-                path.append("L" if go_left else "R")
-                node = node.left if go_left else node.right
-            routed.setdefault("".join(path), ([], node))[0].append(target)
-        for targets, leaf in routed.values():
-            assert leaf.value == pytest.approx(np.mean(targets), abs=1e-12)
-            assert leaf.n_samples == len(targets)
-            assert leaf.n_samples >= 3
+            routed.setdefault(routed_leaf(tree, row), []).append(target)
+        for leaf, targets in routed.items():
+            assert tree.value[leaf] == pytest.approx(np.mean(targets), abs=1e-12)
+            assert len(targets) >= 3
 
     def test_range_preservation(self):
         rng = np.random.default_rng(17)
@@ -172,7 +194,8 @@ class TestGrowTree:
             y = rng.normal(size=25)
             tree = forest.grow_tree(X, y, forest.ForestConfig(min_leaf=2, max_features=1),
                                     np.random.default_rng(seed))
-            assert len(tree.leaf_positions) == len(tree.parent_positions) + 1
+            parents, leaves = heap_positions(tree)
+            assert len(leaves) == len(parents) + 1
 
     def test_input_validation(self):
         cfg = forest.ForestConfig()
@@ -187,17 +210,17 @@ class TestGrowTree:
 
 class TestTreePredict:
     def test_single_leaf_tree(self):
-        tree = forest.Tree(root=forest.Leaf(value=1.25, n_samples=10), n_features=3)
+        tree = make_tree([-1], [np.nan], [-1], [1.25], n_features=3)
         rng = np.random.default_rng(0)
         for _ in range(5):
             assert forest.tree_predict(tree, rng.normal(size=3)) == 1.25
 
     def test_figure_topology_positions(self):
         tree = figure_tree()
-        assert tree.parent_positions == frozenset({0, 2, 5})
-        assert tree.leaf_positions == frozenset({1, 6, 11, 12})
-        assert tree.n_leaves == 4
-        assert len(tree.leaf_positions) == len(tree.parent_positions) + 1
+        parents, leaves = heap_positions(tree)
+        assert parents == {0, 2, 5}
+        assert leaves == {1, 6, 11, 12}
+        assert forest.leaf_basis(tree, np.zeros(2)).shape == (4,)
 
     def test_figure_topology_partition_of_unity(self):
         tree = figure_tree()
@@ -217,7 +240,23 @@ class TestTreePredict:
                                 np.random.default_rng(5))
         for _ in range(100):
             x = rng.normal(size=2) * 2
-            assert forest.tree_predict(tree, x) == forest.predict_from_basis(tree, x)
+            assert forest.tree_predict(tree, x) == predict_from_basis(tree, x)
+
+    def test_deep_chain_tree(self):
+        # every split peels off the largest target, so the tree is a chain
+        # of 149 splits whose deepest heap position is past 2**148
+        n = 150
+        X = np.arange(float(n)).reshape(-1, 1)
+        y = np.exp(2.0 * np.arange(n))
+        tree = forest.grow_tree(X, y, forest.ForestConfig(min_leaf=1),
+                                np.random.default_rng(0))
+        assert np.issubdtype(tree.right.dtype, np.integer)
+        assert np.count_nonzero(tree.feature >= 0) == n - 1
+        assert max(heap_positions(tree)[1]) > 2**148
+        leaves = np.array([routed_leaf(tree, row) for row in X])
+        for x in X:
+            assert forest.tree_predict(tree, x) == y[leaves == routed_leaf(tree, x)].mean()
+            assert forest.leaf_basis(tree, x).sum() == 1.0
 
     def test_length_mismatch(self):
         tree = figure_tree()
@@ -265,6 +304,17 @@ class TestBlockBootstrap:
         b = forest.block_bootstrap_indices(30, 5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
+    def test_matches_one_draw_per_block_oracle(self):
+        for seed in range(20):
+            for n in (1, 2, 5, 22, 29, 30, 31, 64, 100):
+                for bl in (1, 3, 5, 7, 30, 99):
+                    rng = np.random.default_rng(seed)
+                    oracle_rng = np.random.default_rng(seed)
+                    idx = forest.block_bootstrap_indices(n, bl, rng)
+                    np.testing.assert_array_equal(idx, oracle_block_bootstrap(n, bl, oracle_rng))
+                    assert np.issubdtype(idx.dtype, np.integer)
+                    assert rng.random() == oracle_rng.random()
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             forest.block_bootstrap_indices(0, 5, np.random.default_rng(0))
@@ -285,25 +335,27 @@ class TestForest:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         cfg = forest.ForestConfig(n_trees=10, seed=5)
-        assert forest.rf_fit(X, y, cfg) == forest.rf_fit(X, y, cfg)
-        other = forest.rf_fit(X, y, forest.ForestConfig(n_trees=10, seed=6))
-        assert forest.rf_fit(X, y, cfg) != other
+        fitted = forest.rf_fit(X, y, cfg)
+        assert_forests_equal(fitted, forest.rf_fit(X, y, cfg))
+        other = forest.rf_fit(X, y, replace(cfg, seed=6))
+        with pytest.raises(AssertionError):  # the trees differ, not just the seed
+            assert_forests_equal(fitted, replace(other, config=cfg))
 
     def test_constant_target(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(20, 2))
         fitted = forest.rf_fit(X, np.full(20, 1.5), forest.ForestConfig(n_trees=5, seed=0))
         for tree in fitted.trees:
-            assert isinstance(tree.root, forest.Leaf)
-            assert tree.root.value == 1.5
+            assert tree.feature.tolist() == [-1]
+            assert tree.value[0] == 1.5
         assert forest.rf_predict(fitted, np.zeros(2)) == 1.5
 
     def test_mean_of_two_leaves(self):
         cfg = forest.ForestConfig(n_trees=2)
         f = forest.Forest(
             trees=(
-                forest.Tree(root=forest.Leaf(1.0, 5), n_features=1),
-                forest.Tree(root=forest.Leaf(3.0, 5), n_features=1),
+                make_tree([-1], [np.nan], [-1], [1.0], n_features=1),
+                make_tree([-1], [np.nan], [-1], [3.0], n_features=1),
             ),
             config=cfg,
         )
@@ -331,7 +383,7 @@ class TestForest:
         )
         fitted = forest.rf_fit(X, y, cfg)
         cart = forest.grow_tree(X, y, cfg, np.random.default_rng(0))
-        assert fitted.trees[0] == cart
+        assert_trees_equal(fitted.trees[0], cart)
         for _ in range(50):
             x = rng.normal(size=2)
             assert forest.rf_predict(fitted, x) == forest.tree_predict(cart, x)
@@ -344,9 +396,9 @@ class TestForest:
             n_trees=8, min_leaf=2, max_features=1, feature_mode="per-tree", seed=4
         )
         fitted = forest.rf_fit(X, y, cfg)
-        assert forest.rf_fit(X, y, cfg) == fitted
+        assert_forests_equal(forest.rf_fit(X, y, cfg), fitted)
         for tree in fitted.trees:
-            used = collect_split_vars(tree.root)
+            used = set(tree.feature[tree.feature >= 0].tolist())
             assert len(used) <= 1  # the single drawn column, remapped
             assert all(0 <= v < 3 for v in used)
         # predictions still evaluate against full-width inputs

@@ -17,7 +17,7 @@ import hashlib
 
 import numpy as np
 
-from minutecast import cli, lstm
+from minutecast import cli, forest, lstm
 from minutecast.marketdata import SynthParams, generate_synthetic_day, minute_to_time
 
 DAYS = (dt.date(2020, 3, 2), dt.date(2020, 3, 3))
@@ -51,6 +51,7 @@ PREDICTION_SLICES = {
 DAILY_METRICS = "71315c4e1baad8ea976cae54eccecdd998d255147f9f6797219a325f6bf4170a"
 AGGREGATE_REPORT = "380e54b68c1b820deec2adc4acbdc11ee2b65eb74ce8418f92a198287dec5103"
 TRAIN_WINDOWS = "5c7120506928b15ee124f5aa73465258240da8bf51dbc305b014449e3c120c1c"
+RF_FEATURE_MODES = "d8ddca4aeb7f634894a3db1e3938e0403726beb1e335ed68b00180d50b9a40a4"
 
 
 def _bar_lines():
@@ -108,3 +109,20 @@ def test_train_windows_digest():
     fitted = lstm.train_windows(X, Y, config, [11, 12, 13])
     vector = np.concatenate([lstm.flatten_params(p) for p in fitted])
     assert _sha(vector.astype("<f8").tobytes()) == TRAIN_WINDOWS
+
+
+def test_rf_feature_modes_digest():
+    # rf(agg) never runs with feature_mode="per-tree", so the store above
+    # does not pin it; max_features 1 and 2 are below k = 4
+    rng = np.random.default_rng(2025)
+    windows = [(rng.normal(size=(30, 4)), rng.normal(size=30), rng.normal(size=(5, 4)))
+               for _ in range(3)]
+    forecasts = []
+    for feature_mode in ("per-split", "per-tree"):
+        for max_features in (1, None, 4):
+            config = forest.ForestConfig(n_trees=10, max_features=max_features,
+                                         feature_mode=feature_mode, seed=8)
+            for X, y, probes in windows:
+                fitted = forest.rf_fit(X, y, config)
+                forecasts.extend(forest.rf_predict(fitted, x) for x in probes)
+    assert _sha(repr(forecasts).encode()) == RF_FEATURE_MODES
