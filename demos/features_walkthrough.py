@@ -1,13 +1,15 @@
-"""From minute bars to a feature row, one step at a time.
+"""From minute bars to the day's feature table, one step at a time.
 
-Everything downstream consumes FeatureRow objects; this script shows
-exactly what each field holds for a concrete synthetic day.
+Everything downstream consumes one table per day: a numpy structured array
+with a row per minute and a column per feature. This script shows exactly
+what each column holds for a concrete synthetic day.
 """
 
 import datetime as dt
 import math
 
 from minutecast.marketdata import (
+    SESSION_START_MINUTE,
     SynthParams,
     VIX_INTRADAY_DENOM,
     build_feature_rows,
@@ -22,27 +24,31 @@ def main():
     print(f"synthetic session for {day}: {len(series.bars)} bars, "
           f"{minute_to_time(series.bars[0].minute)} .. {minute_to_time(series.bars[-1].minute)}")
 
-    rows = build_feature_rows(series)
-    print(f"{len(rows)} feature rows; the first sits at minute {rows[0].minute} "
-          f"({minute_to_time(rows[0].minute)}) because every field needs bars "
-          "back to nine minutes earlier\n")
+    table = build_feature_rows(series)
+    first = int(table["minute"][0])
+    print(f"{len(table)} feature rows; the first sits at minute {first} "
+          f"({minute_to_time(first)}) because every column needs bars "
+          "back to nine minutes earlier")
+    print(f"columns: {', '.join(table.dtype.names)}\n")
 
-    row = rows[40]
-    m = row.minute
+    row = table[40]
+    m = int(row["minute"])
     print(f"row at {minute_to_time(m)}:")
-    print(f"  r5       = {row.r5: .3e}   five-minute log return ending now")
-    print(f"  lag_r5   = {row.lag_r5: .3e}   same quantity five minutes ago")
-    print(f"  lag_r5_sq= {row.lag_r5_sq: .3e}   its square, a realized-variance proxy")
-    print(f"  vix_lag  = {row.vix_lag: .3e}   annualized VIX / {VIX_INTRADAY_DENOM:.3f}")
-    print(f"  dvix_lag = {row.dvix_lag: .3e}   one-minute change of that rescaled VIX")
-    print(f"  vrp_lag  = {row.vrp_lag: .3e}   squared 1-min return minus squared VIX")
+    print(f"  r5       = {row['r5']: .3e}   five-minute log return ending now")
+    print(f"  lag_r5   = {row['lag_r5']: .3e}   same quantity five minutes ago")
+    print(f"  lag_r5_sq= {row['lag_r5_sq']: .3e}   its square, a realized-variance proxy")
+    print(f"  vix_lag  = {row['vix_lag']: .3e}   annualized VIX / {VIX_INTRADAY_DENOM:.3f}")
+    print(f"  dvix_lag = {row['dvix_lag']: .3e}   one-minute change of that rescaled VIX")
+    print(f"  vrp_lag  = {row['vrp_lag']: .3e}   squared 1-min return minus squared VIX")
 
-    # recompute r5 straight from the bars to show there is no magic
-    p_now = series.price(m)
-    p_then = series.price(m - 4)
+    # recompute r5 straight from the bars to show there is no magic; the
+    # table takes each log with math.log, so the two agree exactly
+    p_now = series.bars[m - SESSION_START_MINUTE].spy_price
+    p_then = series.bars[m - 4 - SESSION_START_MINUTE].spy_price
     by_hand = math.log(p_now) - math.log(p_then)
     print(f"\nby hand: log({p_now:.4f}) - log({p_then:.4f}) = {by_hand: .3e}")
-    print(f"matches row.r5 to {abs(by_hand - row.r5):.1e}")
+    assert by_hand == row["r5"]
+    print("equals the table's r5 exactly")
 
     # the target of the window ending before minute m is this row's r5;
     # the model only ever sees the *_lag columns, all measurable earlier

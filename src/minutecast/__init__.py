@@ -1,9 +1,9 @@
 """Minute-by-minute rolling-window forecasting of intraday equity returns.
 
-The submodules layer bottom-up: marketdata (bars, features, synthetic
-days), scaling, the three model families (linear, lstm, forest), the
-rolling scheduler/runner, metrics, and the command-line front end. The
-names re-exported here are the stable surface for library use.
+The submodules layer bottom-up: marketdata (bars, the per-day feature
+table, synthetic days), scaling, the three model families (linear, lstm,
+forest), the rolling scheduler/runner, metrics, and the command-line front
+end. The names re-exported here are the stable surface for library use.
 """
 
 import logging
@@ -12,7 +12,6 @@ from .errors import (
     ConfigError,
     DataError,
     FitError,
-    MissingBarError,
     NumericError,
     ParseError,
     ShapeError,
@@ -22,8 +21,8 @@ from .forest import Forest, ForestConfig, rf_fit, rf_predict
 from .linear import Benchmark, OlsFit, ols_fit, ols_predict
 from .lstm import GradCheckReport, LstmParams, TrainConfig, gradient_check, lstm_predict, lstm_train
 from .marketdata import (
+    FEATURE_DTYPE,
     DaySeries,
-    FeatureRow,
     MinuteBar,
     SynthParams,
     build_feature_rows,
@@ -45,11 +44,9 @@ from .metrics import (
 from .rolling import (
     ModelSpec,
     PredictionRecord,
-    WindowTask,
     read_store,
     run_day,
     run_sample,
-    run_window,
     schedule_day,
     write_store,
 )
@@ -62,14 +59,13 @@ __all__ = [
     "ConfigError",
     "DataError",
     "ParseError",
-    "MissingBarError",
     "ShapeError",
     "NumericError",
     "FitError",
     "SingularFitError",
     "MinuteBar",
     "DaySeries",
-    "FeatureRow",
+    "FEATURE_DTYPE",
     "SynthParams",
     "load_minute_bars",
     "build_feature_rows",
@@ -96,10 +92,8 @@ __all__ = [
     "rf_fit",
     "rf_predict",
     "ModelSpec",
-    "WindowTask",
     "PredictionRecord",
     "schedule_day",
-    "run_window",
     "run_day",
     "run_sample",
     "write_store",

@@ -54,6 +54,9 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# First synthetic day when start_date is not set; input files are not filtered then.
+SYNTH_START_DATE = dt.date(2020, 1, 2)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -61,7 +64,7 @@ class RunConfig:
 
     input: Optional[str] = None
     synth_days: Optional[int] = None
-    start_date: dt.date = dt.date(2020, 1, 2)
+    start_date: Optional[dt.date] = None
     end_date: Optional[dt.date] = None
     seed: int = 0
     workers: int = 1
@@ -96,7 +99,7 @@ class RunConfig:
             raise ConfigError(f"workers must be at least 1, got {self.workers}")
         if self.synth_days is not None and self.synth_days < 0:
             raise ConfigError(f"synth_days must be non-negative, got {self.synth_days}")
-        if self.end_date is not None and self.end_date < self.start_date:
+        if self.start_date and self.end_date and self.end_date < self.start_date:
             raise ConfigError("end_date precedes start_date")
 
     def synth_params(self) -> SynthParams:
@@ -241,7 +244,7 @@ def build_roster(config: RunConfig) -> list:
 
 def _synthetic_days(config: RunConfig) -> list:
     params = config.synth_params()
-    dates = business_days(config.start_date, params.n_days)
+    dates = business_days(config.start_date or SYNTH_START_DATE, params.n_days)
     return [generate_synthetic_day(params, day) for day in dates]
 
 
@@ -252,7 +255,7 @@ def _load_days(config: RunConfig) -> list:
         days = load_minute_bars(config.input)
         days = [
             d for d in days
-            if config.start_date <= d.day
+            if (config.start_date is None or config.start_date <= d.day)
             and (config.end_date is None or d.day <= config.end_date)
         ]
         if not days:

@@ -17,10 +17,6 @@ class ParseError(DataError):
     """A row of an input file could not be parsed; message carries the line number."""
 
 
-class MissingBarError(KeyError):
-    """A required minute bar is absent. Callers decide the gap policy."""
-
-
 class ShapeError(ValueError):
     """Dimension mismatch between fitted objects and the data handed to them."""
 

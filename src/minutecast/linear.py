@@ -38,7 +38,7 @@ class Benchmark(enum.Enum):
 
     @property
     def feature_name(self) -> str:
-        """Name of the FeatureRow attribute this benchmark regresses on."""
+        """Name of the feature-table column this benchmark regresses on."""
         return _PREDICTOR_COLUMN[self]
 
     @classmethod

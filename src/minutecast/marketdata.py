@@ -5,9 +5,10 @@ session keeps 09:40 through 15:50 inclusive (indices 10..380, 371 minutes);
 the first and last ten minutes of the trading day are excluded because open
 and close prints carry missing or repeated values.
 
-Features are built so that no predictor overlaps the target span: the target
-is the five-minute log return ending at minute m, and every predictor
-references minutes m-5 and earlier.
+A day's features form one table (a structured array of FEATURE_DTYPE), one
+row per minute whose bars all exist. No predictor overlaps the target span:
+the target is the five-minute log return ending at minute m, and every
+predictor references minutes m-5 and earlier.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, MissingBarError, ParseError
+from .errors import DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +42,20 @@ MIN_USABLE_MINUTES = 40
 CSV_HEADER = ("date", "time", "spy_price", "vix")
 
 _BASE_MINUTE_OF_DAY = 9 * 60 + 30  # 09:30
+
+# One feature-table row: its day and minute, the target r5 and the lagged
+# predictors (see build_feature_rows for each column's definition).
+FEATURE_DTYPE = np.dtype([
+    ("day", "datetime64[D]"),
+    ("minute", np.intp),
+    ("r5", float),
+    ("lag_r5", float),
+    ("lag_r5_sq", float),
+    ("vix_lag", float),
+    ("vix_sq_lag", float),
+    ("dvix_lag", float),
+    ("vrp_lag", float),
+])
 
 
 def minute_to_time(minute: int) -> str:
@@ -101,7 +116,6 @@ class DaySeries:
     has_gaps: bool
 
     def __post_init__(self):
-        index = {}
         last = None
         for bar in self.bars:
             if not (SESSION_START_MINUTE <= bar.minute <= SESSION_END_MINUTE):
@@ -111,47 +125,11 @@ class DaySeries:
             if last is not None and bar.minute <= last:
                 raise DataError(f"bars out of order on {self.day} at minute {bar.minute}")
             last = bar.minute
-            index[bar.minute] = bar
-        object.__setattr__(self, "_by_minute", index)
 
     @classmethod
     def from_bars(cls, day: dt.date, bars) -> "DaySeries":
         bars = tuple(sorted(bars, key=lambda b: b.minute))
         return cls(day=day, bars=bars, has_gaps=len(bars) < SESSION_MINUTES)
-
-    def has(self, minute: int) -> bool:
-        return minute in self._by_minute
-
-    def bar_at(self, minute: int) -> MinuteBar:
-        try:
-            return self._by_minute[minute]
-        except KeyError:
-            raise MissingBarError(f"{self.day} has no bar at minute {minute}") from None
-
-    def price(self, minute: int) -> float:
-        return self.bar_at(minute).spy_price
-
-    def vix(self, minute: int) -> float:
-        return self.bar_at(minute).vix_annual
-
-
-@dataclass(frozen=True, slots=True)
-class FeatureRow:
-    """All model inputs and the target for one prediction minute.
-
-    The target ``r5`` spans minutes [m-4, m]; every predictor references
-    minutes <= m-5, so predictor and target spans never intersect.
-    """
-
-    day: dt.date
-    minute: int
-    r5: float
-    lag_r5: float
-    lag_r5_sq: float
-    vix_lag: float
-    vix_sq_lag: float
-    dvix_lag: float
-    vrp_lag: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,67 +258,59 @@ def load_minute_bars(path) -> list[DaySeries]:
 # feature arithmetic
 # ---------------------------------------------------------------------------
 
-def log_return_5min(series: DaySeries, m: int) -> float:
-    """log P(m) - log P(m-4): the rolling five-minute log return ending at m."""
-    return math.log(series.price(m)) - math.log(series.price(m - 4))
+def build_feature_rows(series: DaySeries) -> np.ndarray:
+    """The day's feature table: one FEATURE_DTYPE row per minute whose bars all exist.
 
+    Bars are laid out on the session grid with a presence mask, and each
+    column is shifted-array arithmetic over that grid. For the row at minute m:
 
-def log_return_1min(series: DaySeries, m: int) -> float:
-    return math.log(series.price(m)) - math.log(series.price(m - 1))
-
-
-def vix_to_intraday(vix_annual: float) -> float:
-    """Rescale the annualized VIX level to per-minute units."""
-    if vix_annual < 0.0:
-        raise ValueError(f"annualized VIX must be non-negative, got {vix_annual}")
-    return vix_annual / VIX_INTRADAY_DENOM
-
-
-def compute_vrp(r_1min: float, vix_intraday: float) -> float:
-    """Squared one-minute return minus squared intraday VIX."""
-    if vix_intraday < 0.0:
-        raise ValueError("vix_intraday must be non-negative")
-    return r_1min * r_1min - vix_intraday * vix_intraday
-
-
-def compute_delta_vix(series: DaySeries, m: int) -> float:
-    """First difference of intraday-scaled VIX between minutes m-6 and m-5."""
-    return vix_to_intraday(series.vix(m - 5)) - vix_to_intraday(series.vix(m - 6))
-
-
-def build_feature_rows(series: DaySeries) -> list[FeatureRow]:
-    """One FeatureRow per minute whose constituents all exist.
+    - ``r5`` = log P(m) - log P(m-4), the target;
+    - ``lag_r5`` = log P(m-5) - log P(m-9), and ``lag_r5_sq`` its square;
+    - ``vix_lag`` = VIX(m-5) / VIX_INTRADAY_DENOM, and ``vix_sq_lag`` its square;
+    - ``dvix_lag`` = vix_lag minus the same rescaled VIX at m-6;
+    - ``vrp_lag`` = (log P(m-5) - log P(m-6))**2 - vix_lag**2.
 
     Row m needs bars at {m, m-4, m-5, m-6, m-9}; a missing bar suppresses
     exactly the rows that touch it (no forward fill). The suppressed count
     is reported via logging.
     """
-    rows = []
-    suppressed = 0
-    for m in range(SESSION_START_MINUTE + MAX_FEATURE_LAG, SESSION_END_MINUTE + 1):
-        try:
-            r5 = log_return_5min(series, m)
-            lag_r5 = log_return_5min(series, m - 5)
-            vix_lag = vix_to_intraday(series.vix(m - 5))
-            dvix_lag = compute_delta_vix(series, m)
-            vrp_lag = compute_vrp(log_return_1min(series, m - 5), vix_lag)
-        except MissingBarError:
-            suppressed += 1
-            continue
-        rows.append(FeatureRow(
-            day=series.day,
-            minute=m,
-            r5=r5,
-            lag_r5=lag_r5,
-            lag_r5_sq=lag_r5 * lag_r5,
-            vix_lag=vix_lag,
-            vix_sq_lag=vix_lag * vix_lag,
-            dvix_lag=dvix_lag,
-            vrp_lag=vrp_lag,
-        ))
+    present = np.zeros(SESSION_MINUTES, dtype=bool)
+    log_price = np.zeros(SESSION_MINUTES)
+    vix = np.zeros(SESSION_MINUTES)
+    slots = [bar.minute - SESSION_START_MINUTE for bar in series.bars]
+    present[slots] = True
+    # math.log per bar: np.log can round a price's log one ulp differently
+    log_price[slots] = [math.log(bar.spy_price) for bar in series.bars]
+    vix[slots] = [bar.vix_annual for bar in series.bars]
+    vix /= VIX_INTRADAY_DENOM
+
+    def at(values, lag):
+        # values at minute m - lag, for every candidate row minute m
+        return values[MAX_FEATURE_LAG - lag:SESSION_MINUTES - lag]
+
+    keep = at(present, 0) & at(present, 4) & at(present, 5) & at(present, 6) & at(present, 9)
+    with np.errstate(over="ignore"):  # a huge VIX squares to inf, as a float product does
+        lag_r5 = at(log_price, 5) - at(log_price, 9)
+        r1_lag = at(log_price, 5) - at(log_price, 6)
+        vix_lag = at(vix, 5)
+        columns = {
+            "minute": np.arange(SESSION_START_MINUTE + MAX_FEATURE_LAG, SESSION_END_MINUTE + 1),
+            "r5": at(log_price, 0) - at(log_price, 4),
+            "lag_r5": lag_r5,
+            "lag_r5_sq": lag_r5 * lag_r5,
+            "vix_lag": vix_lag,
+            "vix_sq_lag": vix_lag * vix_lag,
+            "dvix_lag": vix_lag - at(vix, 6),
+            "vrp_lag": r1_lag * r1_lag - vix_lag * vix_lag,
+        }
+    table = np.zeros(np.count_nonzero(keep), FEATURE_DTYPE)
+    table["day"] = series.day
+    for name, values in columns.items():
+        table[name] = values[keep]
+    suppressed = len(keep) - len(table)
     if suppressed:
         logger.info("%s: %d feature rows suppressed by gaps", series.day, suppressed)
-    return rows
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Rolling-window scheduling, per-window estimation, and the prediction store.
 
-A trading day becomes a sequence of window tasks: each task trains on the
-feature rows whose targets fall in the half hour before the prediction
-minute, then forecasts the one-minute-ahead five-minute return.  Model fits
-never see the test row's target, scalers are fitted on training rows only,
-and every estimation seed is derived from (master seed, day, minute, model),
-so results are identical regardless of worker count or scheduling order.
+A trading day's feature table yields the indices of its test rows: each
+test row's window is the row range of the feature rows whose targets fall
+in the half hour before its minute, and the model fitted on that range
+forecasts the test row's five-minute return.  Model fits never see the test
+row's target, scalers are fitted on training rows only, and every
+estimation seed is derived from (master seed, day, minute, model), so
+results are identical regardless of worker count or scheduling order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigError, DataError, FitError, NumericError, ParseError, ShapeError
+from .errors import ConfigError, DataError, FitError, NumericError, ParseError
 from .forest import ForestConfig, rf_fit, rf_predict
 from .linear import Benchmark, ols_fit, ols_predict
 from .lstm import TrainConfig, lstm_predict, lstm_train, train_windows
@@ -33,7 +34,6 @@ from .marketdata import (
     SESSION_END_MINUTE,
     SESSION_START_MINUTE,
     DaySeries,
-    FeatureRow,
     build_feature_rows,
 )
 from .scaling import fit_minmax, inverse_transform_target, transform
@@ -49,11 +49,9 @@ __all__ = [
     "PredictorSet",
     "ModelFamily",
     "ModelSpec",
-    "WindowTask",
     "PredictionRecord",
     "schedule_day",
     "derive_seed",
-    "run_window",
     "run_day",
     "run_sample",
     "write_store",
@@ -214,47 +212,6 @@ class ModelSpec:
 
 
 @dataclass(frozen=True)
-class WindowTask:
-    """One rolling-window estimation: training rows, test row, anchor minute.
-
-    Training targets cover the half hour before the prediction minute,
-    truncated at the session's earliest feature minute, so warm-up windows
-    near the open are shorter than 30 rows and all later windows are exact.
-    """
-
-    day: dt.date
-    minute: int
-    train_rows: Tuple[FeatureRow, ...]
-    test_row: FeatureRow
-
-    def __post_init__(self):
-        rows = tuple(self.train_rows)
-        object.__setattr__(self, "train_rows", rows)
-        if not rows:
-            raise ShapeError("window task has no training rows")
-        expected_start = max(self.minute - TRAIN_WINDOW_MINUTES, EARLIEST_FEATURE_MINUTE)
-        if rows[0].minute != expected_start:
-            raise ShapeError(
-                f"window starts at minute {rows[0].minute}, expected {expected_start}"
-            )
-        for offset, row in enumerate(rows):
-            if row.minute != expected_start + offset:
-                raise ShapeError("training minutes must be consecutive")
-            if row.day != self.day:
-                raise DataError("training rows must come from the task's day")
-        if rows[-1].minute != self.minute - 1:
-            raise ShapeError("training window must end the minute before prediction")
-        if self.test_row.minute != self.minute:
-            raise ShapeError("test row must sit at the prediction minute")
-        if self.test_row.day != self.day:
-            raise DataError("test row must come from the task's day")
-
-    @property
-    def n_train(self) -> int:
-        return len(self.train_rows)
-
-
-@dataclass(frozen=True)
 class PredictionRecord:
     """One model's forecast for one prediction minute."""
 
@@ -276,54 +233,43 @@ class PredictionRecord:
         return (self.day, self.minute, self.model, self.predictor_set)
 
 
-def schedule_day(rows: Sequence[FeatureRow]) -> List[WindowTask]:
-    """Build the day's window tasks, one per schedulable prediction minute.
+def _window_length(minutes):
+    """Training rows in the window of a test row at each given minute."""
+    return minutes - np.maximum(minutes - TRAIN_WINDOW_MINUTES, EARLIEST_FEATURE_MINUTE)
 
-    A gapless day yields exactly 340 tasks, predicting 10:11 through 15:50.
-    A task is emitted only when its test row and every required training
-    row are present, so data gaps thin the schedule instead of producing
+
+def schedule_day(rows: np.ndarray) -> np.ndarray:
+    """Indices of the day's schedulable test rows, ascending.
+
+    Row i at minute m (10:11 through 15:50) is scheduled when the n rows
+    before it hold exactly the minutes m - n .. m - 1, where the window
+    starts at minute max(m - 30, EARLIEST_FEATURE_MINUTE) and n = m - start;
+    its window is then the row range [i - n, i). A gapless day yields
+    exactly 340 test rows. Data gaps thin the schedule instead of producing
     windows with holes.
     """
-    if not rows:
-        return []
-    day = rows[0].day
-    by_minute = {}
-    last_minute = None
-    for row in rows:
-        if row.day != day:
-            raise DataError("schedule_day expects rows from a single day")
-        if last_minute is not None and row.minute <= last_minute:
-            raise DataError("feature rows must be sorted by minute")
-        last_minute = row.minute
-        by_minute[row.minute] = row
-
-    tasks = []
-    for minute in range(FIRST_PREDICTION_MINUTE, SESSION_END_MINUTE + 1):
-        test_row = by_minute.get(minute)
-        if test_row is None:
-            continue
-        start = max(minute - TRAIN_WINDOW_MINUTES, EARLIEST_FEATURE_MINUTE)
-        train = []
-        for m in range(start, minute):
-            row = by_minute.get(m)
-            if row is None:
-                train = None
-                break
-            train.append(row)
-        if train is None:
-            continue
-        tasks.append(
-            WindowTask(day=day, minute=minute, train_rows=tuple(train), test_row=test_row)
-        )
-    if len(tasks) < TASKS_PER_DAY:
+    minutes = rows["minute"]
+    if np.any(rows["day"] != rows["day"][:1]):
+        raise DataError("schedule_day expects rows from a single day")
+    if np.any(np.diff(minutes) <= 0):
+        raise DataError("feature rows must be sorted by minute")
+    n_train = _window_length(minutes)
+    first = np.arange(len(rows)) - n_train
+    tests = np.flatnonzero(
+        (minutes >= FIRST_PREDICTION_MINUTE) & (minutes <= SESSION_END_MINUTE) & (first >= 0)
+    )
+    # rows are strictly increasing, so a window whose first row sits at its
+    # start minute holds every minute up to the test row
+    tests = tests[minutes[first[tests]] == minutes[tests] - n_train[tests]]
+    if len(tests) < TASKS_PER_DAY and len(rows):
         log.debug(
-            "day %s: %d of %d window tasks schedulable", day, len(tasks), TASKS_PER_DAY
+            "day %s: %d of %d windows schedulable", rows["day"][0], len(tests), TASKS_PER_DAY
         )
-    return tasks
+    return tests
 
 
 def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> int:
-    """Stable per-task seed; hashing keeps parallel runs order-independent."""
+    """Stable per-window seed; hashing keeps parallel runs order-independent."""
     tag = f"{master_seed}:{day.isoformat()}:{minute}:{model_key}"
     digest = hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -331,9 +277,8 @@ def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> 
 
 @dataclass(frozen=True)
 class _PreparedWindow:
-    """A task scaled and ready to fit."""
+    """A window scaled and ready to fit."""
 
-    task: WindowTask
     y_naive: float
     scaler: object
     x_train: np.ndarray
@@ -341,51 +286,35 @@ class _PreparedWindow:
     x_test: np.ndarray
 
 
-def _record(task: WindowTask, spec: ModelSpec, y_hat, y_naive, status) -> PredictionRecord:
-    return PredictionRecord(
-        day=task.day,
-        minute=task.minute,
-        model=spec.model_id,
-        predictor_set=spec.predictor_set_id,
-        y_true=float(task.test_row.r5),
-        y_hat=float(y_hat),
-        y_naive=float(y_naive),
-        status=status,
-    )
+def _prepare_window(window: np.ndarray, test: np.ndarray, spec: ModelSpec):
+    """Scale one window. Returns ((y_hat, y_naive, status), None) when no fit
+    is needed or possible, else (None, prepared).
 
-
-def _prepare_window(task: WindowTask, spec: ModelSpec):
-    """Scale one window. Returns (record, None) when no fit is needed or
-    possible, else (None, prepared)."""
-    train_y = np.array([r.r5 for r in task.train_rows], dtype=float)
-    if not np.all(np.isfinite(train_y)) or not math.isfinite(task.test_row.r5):
-        return _record(task, spec, math.nan, math.nan, STATUS_SKIPPED), None
+    ``window`` holds the training rows and ``test`` the test row, each as the
+    model's feature columns followed by the r5 target.
+    """
+    k = window.shape[1] - 1
+    train_y = window[:, k]
+    if not np.all(np.isfinite(train_y)) or not math.isfinite(test[k]):
+        return (math.nan, math.nan, STATUS_SKIPPED), None
     y_naive = float(train_y.mean())
     if spec.family is ModelFamily.NAIVE:
-        return _record(task, spec, y_naive, y_naive, STATUS_OK), None
+        return (y_naive, y_naive, STATUS_OK), None
 
-    columns = spec.feature_columns
-    train_X = np.array(
-        [[getattr(row, c) for c in columns] for row in task.train_rows], dtype=float
-    )
-    test_x = np.array([getattr(task.test_row, c) for c in columns], dtype=float)
-    if not np.all(np.isfinite(train_X)) or not np.all(np.isfinite(test_x)):
-        return _record(task, spec, math.nan, y_naive, STATUS_SKIPPED), None
+    if not np.all(np.isfinite(window[:, :k])) or not np.all(np.isfinite(test[:k])):
+        return (math.nan, y_naive, STATUS_SKIPPED), None
 
     # scaler statistics come from training rows only; the test predictors are
     # mapped with those statistics and the test target is never scaled
-    matrix = np.hstack([train_X, train_y[:, None]])
-    scaler = fit_minmax(matrix)
-    k = train_X.shape[1]
-    padded = np.append(test_x, 0.0)  # dummy slot for the target column
+    scaler = fit_minmax(window)
+    padded = np.append(test[:k], 0.0)  # dummy slot for the target column
     try:
-        scaled = transform(scaler, matrix)
+        scaled = transform(scaler, window)
         x_test = transform(scaler, padded[None, :])[0, :k]
     except NumericError:
         # no finite scaled form, e.g. a test value far outside a tiny training span
-        return _record(task, spec, y_naive, y_naive, STATUS_FALLBACK), None
+        return (y_naive, y_naive, STATUS_FALLBACK), None
     return None, _PreparedWindow(
-        task=task,
         y_naive=y_naive,
         scaler=scaler,
         x_train=scaled[:, :k],
@@ -464,20 +393,20 @@ def _lstm_solo(prep: _PreparedWindow, config: TrainConfig):
         return None
 
 
-def _finish(spec: ModelSpec, prep: _PreparedWindow, yhat_scaled) -> PredictionRecord:
-    task = prep.task
+def _finish(prep: _PreparedWindow, yhat_scaled):
+    """(y_hat, y_naive, status) of a fitted window; a failed fit falls back."""
     if yhat_scaled is not None:
         target_column = prep.scaler.n_columns - 1
         y_hat = inverse_transform_target(prep.scaler, float(yhat_scaled), target_column)
         if math.isfinite(y_hat):
-            return _record(task, spec, y_hat, prep.y_naive, STATUS_OK)
-    return _record(task, spec, prep.y_naive, prep.y_naive, STATUS_FALLBACK)
+            return y_hat, prep.y_naive, STATUS_OK
+    return prep.y_naive, prep.y_naive, STATUS_FALLBACK
 
 
 def _run_model(
-    tasks: Sequence[WindowTask], spec: ModelSpec, master_seed: int
+    rows: np.ndarray, tests: np.ndarray, spec: ModelSpec, master_seed: int
 ) -> List[PredictionRecord]:
-    """One model over every task, one record per task in task order.
+    """One model over every scheduled test row, one record each in row order.
 
     Impossible inputs are recorded as skipped and the naive model needs no
     fit. Every other window is fitted on its scaled training rows with a
@@ -485,24 +414,37 @@ def _run_model(
     is mapped back to return units, and a fit that fails falls back to the
     training-window mean.
     """
-    prepared = [_prepare_window(task, spec) for task in tasks]
+    if not len(tests):
+        return []
+    day = rows["day"][0].item()
+    minutes = rows["minute"]
+    data = np.column_stack([rows[c] for c in spec.feature_columns + ("r5",)])
+    starts = tests - _window_length(minutes[tests])
+    prepared = [
+        _prepare_window(data[start:i], data[i], spec)
+        for start, i in zip(starts.tolist(), tests.tolist())
+    ]
     preps = [prep for _, prep in prepared if prep is not None]
-    seeds = [derive_seed(master_seed, p.task.day, p.task.minute, spec.key) for p in preps]
+    seeds = [
+        derive_seed(master_seed, day, int(minutes[i]), spec.key)
+        for i, (_, prep) in zip(tests, prepared) if prep is not None
+    ]
     forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
     forecasts = iter(forecast(spec, preps, seeds))
-    return [
-        record if prep is None else _finish(spec, prep, next(forecasts))
-        for record, prep in prepared
-    ]
-
-
-def run_window(task: WindowTask, spec: ModelSpec, master_seed: int = 0) -> PredictionRecord:
-    """Fit one model on one window and forecast the test minute.
-
-    The same path as :func:`run_day` over a one-task schedule, so every
-    schedulable minute yields a record for every model.
-    """
-    return _run_model([task], spec, master_seed)[0]
+    records = []
+    for i, (outcome, prep) in zip(tests, prepared):
+        y_hat, y_naive, status = outcome if prep is None else _finish(prep, next(forecasts))
+        records.append(PredictionRecord(
+            day=day,
+            minute=int(minutes[i]),
+            model=spec.model_id,
+            predictor_set=spec.predictor_set_id,
+            y_true=float(data[i, -1]),
+            y_hat=float(y_hat),
+            y_naive=float(y_naive),
+            status=status,
+        ))
+    return records
 
 
 def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:
@@ -514,18 +456,19 @@ def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:
 
 
 def run_day(
-    rows: Sequence[FeatureRow], roster: Sequence[ModelSpec], master_seed: int = 0
+    rows: np.ndarray, roster: Sequence[ModelSpec], master_seed: int = 0
 ) -> List[PredictionRecord]:
-    """Run every scheduled window of one day for every model in the roster.
+    """Run every scheduled window of one day's feature table for every model.
 
     Output is sorted by (minute, model, predictor set); all models share the
-    same schedule, so per-model record counts always match.
+    same schedule, so per-model record counts always match. A run over one
+    window's rows alone is a one-window run.
     """
     roster = _check_roster(roster)
-    tasks = schedule_day(rows)
+    tests = schedule_day(rows)
     records: List[PredictionRecord] = []
     for spec in roster:
-        records.extend(_run_model(tasks, spec, master_seed))
+        records.extend(_run_model(rows, tests, spec, master_seed))
     records.sort(key=lambda r: (r.minute, r.model, r.predictor_set))
     return records
 

@@ -155,12 +155,15 @@ def test_criterion_3_tree_and_forest_structure():
 
 def test_criterion_4_gapless_day_schedule():
     series = generate_synthetic_day(SynthParams(n_days=1, seed=5), DAY)
-    tasks = schedule_day(build_feature_rows(series))
-    assert len(tasks) == 340
-    assert tasks[0].minute == 41
-    assert minute_to_time(tasks[0].minute) == "10:11"
-    assert tasks[-1].minute == 380
-    assert minute_to_time(tasks[-1].minute) == "15:50"
+    rows = build_feature_rows(series)
+    tests = schedule_day(rows)
+    assert len(tests) == 340
+    minutes = rows["minute"][tests]
+    assert minutes[0] == 41
+    assert minute_to_time(minutes[0]) == "10:11"
+    assert minutes[-1] == 380
+    assert minute_to_time(minutes[-1]) == "15:50"
+    assert list(minutes) == list(range(41, 381))
 
 
 def test_criterion_5_naive_r2_is_zero_and_perfect_is_one():

@@ -376,6 +376,21 @@ class TestRun:
         assert len(records) == 3 * 340
         assert min(r.day for r in records).isoformat() == "2020-01-06"
 
+    def test_pre_2020_input_runs_with_default_dates(self, tmp_path, capsys):
+        # the synthetic start date is no lower bound on an input file's days
+        def to_2015(lines):
+            return [
+                line.replace("2020-01-02", "2015-06-01").replace("2020-01-03", "2015-06-02")
+                for line in lines
+            ]
+
+        bars = make_bars(tmp_path, to_2015)
+        config = write_config(tmp_path, f"input = {bars}\nmodels = naive\n")
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        days = sorted({r.day.isoformat() for r in read_store(out / "predictions.csv")})
+        assert days == ["2015-06-01", "2015-06-02"]
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         config = write_config(tmp_path, "models = naive\n")
         assert cli.main(["run", "--config", config]) == 2

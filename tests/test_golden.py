@@ -18,7 +18,12 @@ import hashlib
 import numpy as np
 
 from minutecast import cli, forest, lstm
-from minutecast.marketdata import SynthParams, generate_synthetic_day, minute_to_time
+from minutecast.marketdata import (
+    SESSION_START_MINUTE,
+    SynthParams,
+    generate_synthetic_day,
+    minute_to_time,
+)
 
 DAYS = (dt.date(2020, 3, 2), dt.date(2020, 3, 3))
 LAST_MINUTE = 130  # 11:40: 90 windows on a gapless day keep the run short
@@ -59,7 +64,7 @@ def _bar_lines():
     lines = ["date,time,spy_price,vix"]
     for k, day in enumerate(DAYS):
         series = generate_synthetic_day(params, day)
-        constant = series.vix(CONSTANT_VIX[0])
+        constant = series.bars[CONSTANT_VIX[0] - SESSION_START_MINUTE].vix_annual
         for bar in series.bars:
             m = bar.minute
             if m > LAST_MINUTE or (k == 1 and m in GAP):

@@ -155,9 +155,7 @@ class TestOlsPredict:
 def benchmark_design(rows, which):
     """(X, y) for one benchmark: its lagged predictor column and the r5 target."""
     column = linear.Benchmark.coerce(which).feature_name
-    y = np.array([row.r5 for row in rows], dtype=float)
-    X = np.array([[getattr(row, column)] for row in rows], dtype=float)
-    return X, y
+    return rows[column][:, None].astype(float), rows["r5"].astype(float)
 
 
 def _feature_rows_for_tests():
@@ -171,14 +169,14 @@ class TestBenchmarkDesign:
         rows = _feature_rows_for_tests()
         X, y = benchmark_design(rows, linear.Benchmark.VIX)
         assert X.shape == (len(rows), 1)
-        np.testing.assert_array_equal(X[:, 0], [r.vix_lag for r in rows])
-        np.testing.assert_array_equal(y, [r.r5 for r in rows])
+        np.testing.assert_array_equal(X[:, 0], rows["vix_lag"])
+        np.testing.assert_array_equal(y, rows["r5"])
 
     def test_rv_is_squared_lagged_return(self):
         rows = _feature_rows_for_tests()
         X, _ = benchmark_design(rows, "rv")
         # x * x, not x ** 2: libm pow can drift a final ulp from the IEEE product
-        np.testing.assert_allclose(X[:, 0], [r.lag_r5 * r.lag_r5 for r in rows], rtol=0, atol=0)
+        np.testing.assert_allclose(X[:, 0], rows["lag_r5"] * rows["lag_r5"], rtol=0, atol=0)
 
     def test_all_five_share_the_target(self):
         rows = _feature_rows_for_tests()
@@ -200,7 +198,7 @@ class TestBenchmarkDesign:
         }
         for name, attr in expect.items():
             X, _ = benchmark_design(rows, name)
-            np.testing.assert_array_equal(X[:, 0], [getattr(r, attr) for r in rows])
+            np.testing.assert_array_equal(X[:, 0], rows[attr])
 
     def test_unknown_id_rejected(self):
         rows = _feature_rows_for_tests()

@@ -1,14 +1,19 @@
-"""Ingestion, session filtering, feature alignment, synthetic generators."""
+"""Ingestion, session filtering, feature alignment, synthetic generators.
 
+The feature oracle is the per-minute builder that the day table replaced:
+it looks each bar up by minute and computes one row at a time.
+"""
+
+import dataclasses
 import datetime as dt
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from minutecast import marketdata as md
-from minutecast.errors import DataError, MissingBarError, ParseError
+from minutecast.errors import DataError, ParseError
 
 DAY = dt.date(2012, 3, 5)
 
@@ -24,6 +29,70 @@ def series_from_values(prices, vixes, start=md.SESSION_START_MINUTE, day=DAY):
 def constant_series(price=100.0, vix=18.0, day=DAY):
     n = md.SESSION_MINUTES
     return series_from_values([price] * n, [vix] * n, day=day)
+
+
+def column_at(series, name, minute):
+    """One feature of the table row at `minute`."""
+    table = md.build_feature_rows(series)
+    (index,) = np.flatnonzero(table["minute"] == minute)
+    return float(table[name][index])
+
+
+def oracle_feature_rows(series):
+    """The per-minute feature builder, one dict per row whose bars all exist."""
+    by_minute = {bar.minute: bar for bar in series.bars}
+
+    def log_return(m, span):
+        return math.log(by_minute[m].spy_price) - math.log(by_minute[m - span].spy_price)
+
+    def vix_to_intraday(m):
+        return by_minute[m].vix_annual / md.VIX_INTRADAY_DENOM
+
+    rows = []
+    for m in range(md.SESSION_START_MINUTE + md.MAX_FEATURE_LAG, md.SESSION_END_MINUTE + 1):
+        try:
+            r5 = log_return(m, 4)
+            lag_r5 = log_return(m - 5, 4)
+            vix_lag = vix_to_intraday(m - 5)
+            dvix_lag = vix_to_intraday(m - 5) - vix_to_intraday(m - 6)
+            r1 = log_return(m - 5, 1)
+            vrp_lag = r1 * r1 - vix_lag * vix_lag
+        except KeyError:
+            continue
+        rows.append(dict(
+            minute=m, r5=r5, lag_r5=lag_r5, lag_r5_sq=lag_r5 * lag_r5,
+            vix_lag=vix_lag, vix_sq_lag=vix_lag * vix_lag,
+            dvix_lag=dvix_lag, vrp_lag=vrp_lag,
+        ))
+    return rows
+
+
+@st.composite
+def gappy_days(draw):
+    """A synthetic day with scattered and block gaps, and maybe a VIX of 1e200."""
+    params = md.SynthParams(
+        n_days=1,
+        seed=draw(st.integers(0, 2**16)),
+        return_vol=draw(st.sampled_from([0.0, 0.0005, 0.02])),
+    )
+    series = md.generate_synthetic_day(params, DAY)
+    minutes = st.integers(md.SESSION_START_MINUTE, md.SESSION_END_MINUTE)
+    missing = draw(st.sets(minutes, max_size=30))
+    first = draw(minutes)
+    missing |= set(range(first, first + draw(st.integers(0, 40))))
+    huge = draw(st.none() | minutes)  # its squared intraday VIX overflows
+    bars = [
+        dataclasses.replace(b, vix_annual=1e200) if b.minute == huge else b
+        for b in series.bars if b.minute not in missing
+    ]
+    return md.DaySeries.from_bars(DAY, bars)
+
+
+# math.log(99.92155797156265) == 4.604385457885143, while np.log on numpy
+# 2.4.6 gives 4.604385457885144: the table must take logs as the oracle does
+_ROUNDING_PRICES = [100.0] * md.SESSION_MINUTES
+_ROUNDING_PRICES[40] = 99.92155797156265
+ROUNDING_DAY = series_from_values(_ROUNDING_PRICES, [18.0] * md.SESSION_MINUTES)
 
 
 class TestMinuteIndexing:
@@ -137,138 +206,172 @@ class TestLoadMinuteBars:
 
 class TestLogReturn5Min:
     def test_constant_price_is_zero(self):
-        series = constant_series()
-        for m in (14, 100, md.SESSION_END_MINUTE):
-            assert md.log_return_5min(series, m) == 0.0
+        table = md.build_feature_rows(constant_series())
+        for m in (19, 100, md.SESSION_END_MINUTE):
+            assert table["r5"][table["minute"] == m].tolist() == [0.0]
 
     def test_one_percent_move(self):
-        prices = [100.0] * 10
-        prices[6] = 101.0  # minute 16; pairs with minute 12 at 100
-        series = series_from_values(prices, [18.0] * 10)
-        got = md.log_return_5min(series, md.SESSION_START_MINUTE + 6)
+        prices = [100.0] * 20
+        prices[10] = 101.0  # minute 20; pairs with minute 16 at 100
+        series = series_from_values(prices, [18.0] * 20)
+        got = column_at(series, "r5", md.SESSION_START_MINUTE + 10)
         assert got == pytest.approx(0.009950330853168092, abs=1e-15)
 
     def test_telescoping_identity(self):
         params = md.SynthParams(n_days=1, seed=11)
         series = md.generate_synthetic_day(params, DAY)
-        for m in range(20, 60):
-            one_minute = sum(md.log_return_1min(series, j) for j in range(m - 3, m + 1))
-            assert md.log_return_5min(series, m) == pytest.approx(one_minute, rel=1e-12, abs=1e-15)
+        log_price = {b.minute: math.log(b.spy_price) for b in series.bars}
+        table = md.build_feature_rows(series)
+        for m, r5, lag_r5 in zip(table["minute"][:40], table["r5"], table["lag_r5"]):
+            one_minute = sum(log_price[j] - log_price[j - 1] for j in range(m - 3, m + 1))
+            assert r5 == pytest.approx(one_minute, rel=1e-12, abs=1e-15)
+            if m - 5 in table["minute"]:
+                assert lag_r5 == table["r5"][table["minute"] == m - 5][0]
 
     def test_missing_bar_signals(self):
-        series = series_from_values([100.0] * 3, [18.0] * 3)
-        with pytest.raises(MissingBarError):
-            md.log_return_5min(series, md.SESSION_START_MINUTE + 2)
+        # minutes 10..21 minus 16: rows 20 and 21 need bar 16, row 19 does not
+        bars = series_from_values([100.0] * 12, [18.0] * 12).bars
+        series = md.DaySeries.from_bars(DAY, [b for b in bars if b.minute != 16])
+        assert md.build_feature_rows(series)["minute"].tolist() == [19]
+
+
+def short_day_vix_lags(vix):
+    """The vix_lag column of a short constant day quoting `vix`."""
+    return md.build_feature_rows(series_from_values([100.0] * 12, [vix] * 12))["vix_lag"]
 
 
 class TestVixToIntraday:
     def test_zero(self):
-        assert md.vix_to_intraday(0.0) == 0.0
+        assert short_day_vix_lags(0.0).tolist() == [0.0] * 3
 
     def test_reference_level(self):
         # 19.519 annualized, scaled by sqrt(1440)*sqrt(252)
-        assert md.vix_to_intraday(19.519) == pytest.approx(0.032402315591108365, abs=1e-15)
+        assert short_day_vix_lags(19.519)[0] == pytest.approx(0.032402315591108365, abs=1e-15)
 
     def test_denominator_maps_to_one(self):
-        assert md.vix_to_intraday(md.VIX_INTRADAY_DENOM) == pytest.approx(1.0, abs=1e-12)
-        assert md.vix_to_intraday(602.3946) == pytest.approx(1.0, abs=1e-5)
+        assert short_day_vix_lags(md.VIX_INTRADAY_DENOM)[0] == pytest.approx(1.0, abs=1e-12)
+        assert short_day_vix_lags(602.3946)[0] == pytest.approx(1.0, abs=1e-5)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            md.vix_to_intraday(-1.0)
+        # a negative VIX never becomes a bar, so no feature is built from one
+        with pytest.raises(DataError):
+            md.MinuteBar(day=DAY, minute=20, spy_price=100.0, vix_annual=-1.0)
 
+    @settings(deadline=None)
     @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=0.0, max_value=50.0))
     def test_linearity(self, x, a):
-        assert md.vix_to_intraday(a * x) == pytest.approx(a * md.vix_to_intraday(x), rel=1e-12, abs=1e-300)
+        scaled = short_day_vix_lags(a * x)[0]
+        assert scaled == pytest.approx(a * short_day_vix_lags(x)[0], rel=1e-12, abs=1e-300)
+
+
+def vrp_lag(r1, vix_intraday):
+    """vrp_lag of a day whose one-minute return into minute 15 is `r1`."""
+    prices = [100.0] * 5 + [100.0 * math.exp(r1)] * 7
+    vixes = [vix_intraday * md.VIX_INTRADAY_DENOM] * 12
+    return column_at(series_from_values(prices, vixes), "vrp_lag", 20)
 
 
 class TestComputeVrp:
     def test_zero_case(self):
-        assert md.compute_vrp(0.0, 0.0) == 0.0
+        assert vrp_lag(0.0, 0.0) == 0.0
 
     def test_pure_vix_term(self):
-        assert md.compute_vrp(0.0, 0.03) == pytest.approx(-0.0009, abs=1e-18)
+        assert vrp_lag(0.0, 0.03) == pytest.approx(-0.0009, abs=1e-18)
 
     def test_equal_terms_cancel(self):
-        assert md.compute_vrp(0.03, 0.03) == 0.0
+        assert vrp_lag(0.03, 0.03) == pytest.approx(0.0, abs=1e-15)
 
     def test_negative_vix_rejected(self):
-        with pytest.raises(ValueError):
-            md.compute_vrp(0.0, -0.01)
+        # the intraday VIX in vrp_lag is never negative: bars refuse one
+        with pytest.raises(DataError):
+            series_from_values([100.0] * 12, [18.0] * 11 + [-0.01])
 
 
 class TestComputeDeltaVix:
     def test_constant_day(self):
-        series = constant_series()
-        for m in (16, 40, 380):
-            assert md.compute_delta_vix(series, m) == 0.0
+        table = md.build_feature_rows(constant_series())
+        assert table["dvix_lag"].tolist() == [0.0] * len(table)
 
     def test_hand_values(self):
         # annual levels chosen so the intraday values are exactly 0.030 and 0.032
-        vixes = [0.030 * md.VIX_INTRADAY_DENOM] * 10
+        vixes = [0.030 * md.VIX_INTRADAY_DENOM] * 20
         vixes[5] = 0.032 * md.VIX_INTRADAY_DENOM
-        series = series_from_values([100.0] * 10, vixes)
+        series = series_from_values([100.0] * 20, vixes)
         m = md.SESSION_START_MINUTE + 10  # m-5 hits index 5, m-6 hits index 4
-        assert md.compute_delta_vix(series, m) == pytest.approx(0.002, abs=1e-15)
+        assert column_at(series, "dvix_lag", m) == pytest.approx(0.002, abs=1e-15)
 
     def test_antisymmetry(self):
-        vixes_a = [20.0] * 10
+        vixes_a = [20.0] * 20
         vixes_a[5] = 22.0
-        vixes_b = [22.0] * 10
+        vixes_b = [22.0] * 20
         vixes_b[5] = 20.0
         m = md.SESSION_START_MINUTE + 10
-        a = md.compute_delta_vix(series_from_values([100.0] * 10, vixes_a), m)
-        b = md.compute_delta_vix(series_from_values([100.0] * 10, vixes_b), m)
+        a = column_at(series_from_values([100.0] * 20, vixes_a), "dvix_lag", m)
+        b = column_at(series_from_values([100.0] * 20, vixes_b), "dvix_lag", m)
         assert a == pytest.approx(-b, rel=1e-12)
 
 
 class TestBuildFeatureRows:
     def test_gapless_day_row_range(self):
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY)
-        rows = md.build_feature_rows(series)
-        minutes = [r.minute for r in rows]
+        table = md.build_feature_rows(series)
+        minutes = table["minute"]
         assert minutes[0] == md.SESSION_START_MINUTE + md.MAX_FEATURE_LAG
         assert md.minute_to_time(minutes[0]) == "09:49"
         assert minutes[-1] == md.SESSION_END_MINUTE
-        assert len(rows) == md.SESSION_MINUTES - md.MAX_FEATURE_LAG
+        assert len(table) == md.SESSION_MINUTES - md.MAX_FEATURE_LAG
+        assert np.all(table["day"] == np.datetime64(DAY))
+        assert table.dtype == md.FEATURE_DTYPE
 
     def test_missing_bar_suppresses_dependents(self):
         full = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY)
         m0 = 200
         gappy = md.DaySeries.from_bars(DAY, [b for b in full.bars if b.minute != m0])
         assert gappy.has_gaps
-        kept = {r.minute for r in md.build_feature_rows(gappy)}
-        lost = {r.minute for r in md.build_feature_rows(full)} - kept
+        kept = set(md.build_feature_rows(gappy)["minute"].tolist())
+        lost = set(md.build_feature_rows(full)["minute"].tolist()) - kept
         assert lost == {m0, m0 + 4, m0 + 5, m0 + 6, m0 + 9}
 
     def test_constant_day_values(self):
         vix = 18.0
-        rows = md.build_feature_rows(constant_series(vix=vix))
-        intraday = md.vix_to_intraday(vix)
-        for r in rows:
-            assert r.r5 == 0.0 and r.lag_r5 == 0.0 and r.lag_r5_sq == 0.0
-            assert r.dvix_lag == 0.0
-            assert r.vix_lag == pytest.approx(intraday, rel=1e-15)
-            assert r.vrp_lag == pytest.approx(-intraday * intraday, rel=1e-15)
+        table = md.build_feature_rows(constant_series(vix=vix))
+        intraday = vix / md.VIX_INTRADAY_DENOM
+        for name in ("r5", "lag_r5", "lag_r5_sq", "dvix_lag"):
+            assert np.all(table[name] == 0.0)
+        np.testing.assert_allclose(table["vix_lag"], intraday, rtol=1e-15)
+        np.testing.assert_allclose(table["vrp_lag"], -intraday * intraday, rtol=1e-15)
 
     def test_alignment_against_bars(self):
         """Every stored feature recomputes from the bars at its stated lag."""
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=9), DAY)
-        rows = md.build_feature_rows(series)
-        for r in rows[::37]:
-            m = r.minute
-            assert r.r5 == pytest.approx(md.log_return_5min(series, m), abs=1e-18)
-            assert r.lag_r5 == pytest.approx(md.log_return_5min(series, m - 5), abs=1e-18)
-            assert r.lag_r5_sq == r.lag_r5 * r.lag_r5
-            assert r.vix_lag == pytest.approx(md.vix_to_intraday(series.vix(m - 5)), abs=1e-18)
-            assert r.vix_sq_lag == r.vix_lag * r.vix_lag
-            assert r.dvix_lag == pytest.approx(md.compute_delta_vix(series, m), abs=1e-18)
-            expected_vrp = md.compute_vrp(md.log_return_1min(series, m - 5), r.vix_lag)
-            assert r.vrp_lag == pytest.approx(expected_vrp, abs=1e-18)
+        price = {b.minute: b.spy_price for b in series.bars}
+        vix = {b.minute: b.vix_annual / md.VIX_INTRADAY_DENOM for b in series.bars}
+        for r in md.build_feature_rows(series)[::37]:
+            m = int(r["minute"])
+            assert r["r5"] == pytest.approx(math.log(price[m] / price[m - 4]), abs=1e-15)
+            assert r["lag_r5"] == pytest.approx(math.log(price[m - 5] / price[m - 9]), abs=1e-15)
+            assert r["lag_r5_sq"] == r["lag_r5"] * r["lag_r5"]
+            assert r["vix_lag"] == vix[m - 5]
+            assert r["vix_sq_lag"] == r["vix_lag"] * r["vix_lag"]
+            assert r["dvix_lag"] == pytest.approx(vix[m - 5] - vix[m - 6], abs=1e-18)
+            r1 = math.log(price[m - 5] / price[m - 6])
+            assert r["vrp_lag"] == pytest.approx(r1 * r1 - vix[m - 5] ** 2, abs=1e-15)
 
     def test_pure_function(self):
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=5), DAY)
-        assert md.build_feature_rows(series) == md.build_feature_rows(series)
+        assert md.build_feature_rows(series).tobytes() == md.build_feature_rows(series).tobytes()
+
+    @settings(deadline=None)
+    @given(gappy_days())
+    @example(ROUNDING_DAY)
+    def test_matches_per_minute_oracle_bit_for_bit(self, series):
+        table = md.build_feature_rows(series)
+        rows = oracle_feature_rows(series)
+        assert table["minute"].tolist() == [row["minute"] for row in rows]
+        assert np.all(table["day"] == np.datetime64(series.day))
+        for name in md.FEATURE_DTYPE.names[2:]:
+            expected = np.array([row[name] for row in rows], dtype=float)
+            assert table[name].tobytes() == expected.tobytes(), name
 
 
 class TestGenerateSyntheticDay:
@@ -332,9 +435,9 @@ class TestGenerateAffineSignalDay:
         params = md.SynthParams(n_days=1, seed=21, vix_persistence=0.5, vix_vol=0.1)
         slope = 1.5
         series = md.generate_affine_signal_day(params, DAY, slope=slope, snr=10.0)
-        rows = md.build_feature_rows(series)
-        y = np.array([r.r5 for r in rows])
-        x = np.array([r.vix_lag for r in rows])
+        table = md.build_feature_rows(series)
+        y = table["r5"]
+        x = table["vix_lag"]
         resid = y - slope * x
         # noise variance should be about a tenth of the signal variance
         signal_var = np.var(slope * x)

@@ -1,5 +1,6 @@
 """Tests for window scheduling, per-window estimation, and the store.
 
+The schedule oracle is the dict-based scheduler that row ranges replaced.
 The estimation oracle re-runs one OLS window by hand: min/max scaling,
 normal equations, inverse transform, all with plain Python arithmetic.
 """
@@ -11,10 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minutecast import marketdata as md
 from minutecast import rolling
-from minutecast.errors import ConfigError, DataError, ParseError, ShapeError
+from minutecast.errors import ConfigError, DataError, ParseError
 from minutecast.forest import ForestConfig
 from minutecast.lstm import TrainConfig
 
@@ -24,103 +26,143 @@ DAY = dt.date(2021, 3, 1)
 @lru_cache(maxsize=None)
 def day_rows(seed: int = 3):
     series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=seed), DAY)
-    return tuple(md.build_feature_rows(series))
+    rows = md.build_feature_rows(series)
+    rows.flags.writeable = False  # shared by tests: copy before editing
+    return rows
 
 
 def drop_minutes(rows, missing):
-    return [r for r in rows if r.minute not in missing]
+    return rows[~np.isin(rows["minute"], list(missing))]
+
+
+def minutes_between(rows, first, last):
+    return rows[(rows["minute"] >= first) & (rows["minute"] <= last)]
+
+
+def row_of(rows, minute):
+    return int(np.flatnonzero(rows["minute"] == minute)[0])
+
+
+def window_start(rows, i):
+    """First row of test row i's window, by the rule schedule_day documents."""
+    m = int(rows["minute"][i])
+    start_minute = max(m - rolling.TRAIN_WINDOW_MINUTES, rolling.EARLIEST_FEATURE_MINUTE)
+    return i - (m - start_minute)
+
+
+def scheduled_minutes(rows):
+    return [int(m) for m in rows["minute"][rolling.schedule_day(rows)]]
+
+
+def oracle_schedule(rows):
+    """The dict-based scheduler the row-range schedule replaced, kept as the oracle.
+
+    One (test minute, window start minute) pair per schedulable minute: the
+    test row and every training minute must be present.
+    """
+    present = {int(m) for m in rows["minute"]}
+    pairs = []
+    for minute in range(rolling.FIRST_PREDICTION_MINUTE, md.SESSION_END_MINUTE + 1):
+        start = max(minute - rolling.TRAIN_WINDOW_MINUTES, rolling.EARLIEST_FEATURE_MINUTE)
+        if minute in present and all(m in present for m in range(start, minute)):
+            pairs.append((minute, start))
+    return pairs
+
+
+@st.composite
+def thinned_days(draw):
+    """A gapless day's table with scattered rows and one run of rows removed."""
+    rows = day_rows(draw(st.sampled_from([3, 5])))
+    missing = draw(st.sets(st.integers(19, md.SESSION_END_MINUTE), max_size=12))
+    first = draw(st.integers(19, md.SESSION_END_MINUTE))
+    missing |= set(range(first, first + draw(st.integers(0, 40))))
+    return drop_minutes(rows, missing)
 
 
 class TestScheduleDay:
     def test_gapless_day_yields_full_schedule(self):
-        tasks = rolling.schedule_day(day_rows())
-        assert len(tasks) == 340
-        assert tasks[0].minute == 41   # 10:11
-        assert tasks[-1].minute == 380  # 15:50
-        assert [t.minute for t in tasks] == list(range(41, 381))
+        tests = rolling.schedule_day(day_rows())
+        assert len(tests) == 340
+        minutes = scheduled_minutes(day_rows())
+        assert minutes[0] == 41   # 10:11
+        assert minutes[-1] == 380  # 15:50
+        assert minutes == list(range(41, 381))
 
     def test_warmup_windows_truncate_at_first_feature_minute(self):
-        tasks = rolling.schedule_day(day_rows())
-        for task in tasks[:8]:
-            assert task.train_rows[0].minute == 19
-            assert task.n_train == task.minute - 19
-        assert [t.n_train for t in tasks[:8]] == list(range(22, 30))
-        for task in tasks[8:]:
-            assert task.n_train == 30
-            assert task.train_rows[0].minute == task.minute - 30
+        rows = day_rows()
+        tests = rolling.schedule_day(rows)
+        lengths = [i - window_start(rows, i) for i in tests]
+        for i in tests[:8]:
+            assert rows["minute"][window_start(rows, i)] == 19
+        assert lengths[:8] == list(range(22, 30))
+        for i in tests[8:]:
+            assert i - window_start(rows, i) == 30
+            assert rows["minute"][window_start(rows, i)] == rows["minute"][i] - 30
 
     def test_window_ends_the_minute_before_prediction(self):
-        for task in rolling.schedule_day(day_rows())[::50]:
-            assert task.train_rows[-1].minute == task.minute - 1
-            assert task.test_row.minute == task.minute
+        rows = day_rows()
+        for i in rolling.schedule_day(rows)[::50]:
+            assert rows["minute"][i - 1] == rows["minute"][i] - 1
+
+    def test_every_window_is_a_contiguous_row_range(self):
+        rows = drop_minutes(day_rows(), {30, 100, 101, 250})
+        for i in rolling.schedule_day(rows):
+            m = int(rows["minute"][i])
+            start = window_start(rows, i)
+            assert start >= 0
+            assert rows["minute"][start:i].tolist() == list(range(m - (i - start), m))
+            assert np.all(rows["day"][start:i + 1] == np.datetime64(DAY))
+
+    @settings(deadline=None, max_examples=60)
+    @given(thinned_days())
+    def test_matches_dict_oracle(self, rows):
+        tests = rolling.schedule_day(rows)
+        got = [(int(rows["minute"][i]), int(rows["minute"][window_start(rows, i)]))
+               for i in tests]
+        assert got == oracle_schedule(rows)
 
     def test_empty_rows(self):
-        assert rolling.schedule_day([]) == []
+        assert len(rolling.schedule_day(np.zeros(0, md.FEATURE_DTYPE))) == 0
 
     def test_missing_midday_bar_drops_covered_tasks(self):
         rows = drop_minutes(day_rows(), {200})
-        tasks = rolling.schedule_day(rows)
+        minutes = scheduled_minutes(rows)
         # minute 200 as test row, plus the 30 windows that require it
-        assert len(tasks) == 340 - 31
-        minutes = {t.minute for t in tasks}
+        assert len(minutes) == 340 - 31
         assert 200 not in minutes
-        assert minutes.isdisjoint(range(201, 231))
+        assert set(minutes).isdisjoint(range(201, 231))
         assert 231 in minutes
 
     def test_missing_first_feature_row_drops_warmups(self):
         rows = drop_minutes(day_rows(), {19})
-        tasks = rolling.schedule_day(rows)
+        tests = rolling.schedule_day(rows)
         # the truncated windows and the first full window all need minute 19
-        assert len(tasks) == 340 - 9
-        assert tasks[0].minute == 50
-        assert all(t.n_train == 30 for t in tasks)
+        assert len(tests) == 340 - 9
+        assert rows["minute"][tests[0]] == 50
+        assert all(i - window_start(rows, i) == 30 for i in tests)
 
     def test_short_isolated_run_yields_nothing(self):
-        rows = [r for r in day_rows() if 100 <= r.minute <= 129]
-        assert rolling.schedule_day(rows) == []
+        rows = minutes_between(day_rows(), 100, 129)
+        assert len(rolling.schedule_day(rows)) == 0
 
     def test_thirty_one_row_run_yields_one_task(self):
-        rows = [r for r in day_rows() if 100 <= r.minute <= 130]
-        tasks = rolling.schedule_day(rows)
-        assert len(tasks) == 1
-        assert tasks[0].minute == 130
-        assert tasks[0].n_train == 30
+        rows = minutes_between(day_rows(), 100, 130)
+        tests = rolling.schedule_day(rows)
+        assert tests.tolist() == [30]
+        assert rows["minute"][30] == 130
+        assert window_start(rows, 30) == 0
 
     def test_rejects_unsorted_rows(self):
-        rows = list(day_rows())
-        rows[5], rows[6] = rows[6], rows[5]
+        rows = day_rows().copy()
+        rows[[5, 6]] = rows[[6, 5]]
         with pytest.raises(DataError):
             rolling.schedule_day(rows)
 
     def test_rejects_mixed_days(self):
-        other = dataclasses.replace(day_rows()[40], day=DAY + dt.timedelta(days=1))
+        rows = day_rows()[:41].copy()
+        rows["day"][40] = np.datetime64(DAY + dt.timedelta(days=1))
         with pytest.raises(DataError):
-            rolling.schedule_day(list(day_rows()[:40]) + [other])
-
-
-class TestWindowTask:
-    def test_invariant_violations(self):
-        rows = day_rows()
-        by_minute = {r.minute: r for r in rows}
-        train = tuple(by_minute[m] for m in range(70, 100))
-        task = rolling.WindowTask(day=DAY, minute=100, train_rows=train, test_row=by_minute[100])
-        assert task.n_train == 30
-        with pytest.raises(ShapeError):
-            rolling.WindowTask(day=DAY, minute=100, train_rows=train[:-1], test_row=by_minute[100])
-        with pytest.raises(ShapeError):
-            rolling.WindowTask(day=DAY, minute=100, train_rows=train[1:], test_row=by_minute[100])
-        with pytest.raises(ShapeError):
-            rolling.WindowTask(day=DAY, minute=101, train_rows=train, test_row=by_minute[101])
-        with pytest.raises(ShapeError):
-            rolling.WindowTask(day=DAY, minute=100, train_rows=(), test_row=by_minute[100])
-        gapped = train[:10] + train[11:] + (by_minute[100],)
-        with pytest.raises(ShapeError):
-            rolling.WindowTask(day=DAY, minute=100, train_rows=gapped, test_row=by_minute[100])
-        with pytest.raises(DataError):
-            rolling.WindowTask(
-                day=DAY + dt.timedelta(days=1), minute=100, train_rows=train,
-                test_row=by_minute[100],
-            )
+            rolling.schedule_day(rows)
 
 
 class TestModelSpec:
@@ -180,122 +222,161 @@ class TestDeriveSeed:
             assert 0 <= seed < 2**64
 
 
-def manual_ols_vix_forecast(task):
+def run_window(rows, minute, spec, master_seed=0):
+    """A one-window run: run_day over the window's rows and its test row alone."""
+    i = row_of(rows, minute)
+    records = rolling.run_day(rows[window_start(rows, i):i + 1], [spec], master_seed)
+    assert records[-1].minute == minute
+    return records[-1]
+
+
+def manual_ols_vix_forecast(rows, minute):
     """Hand pipeline: scale by train min/max, normal equations, map back."""
-    xs = [r.vix_lag for r in task.train_rows]
-    ys = [r.r5 for r in task.train_rows]
+    i = row_of(rows, minute)
+    train = rows[window_start(rows, i):i]
+    xs = train["vix_lag"].tolist()
+    ys = train["r5"].tolist()
     lo_x, hi_x = min(xs), max(xs)
     lo_y, hi_y = min(ys), max(ys)
     xs_s = [(v - lo_x) / (hi_x - lo_x) for v in xs]
     ys_s = [(v - lo_y) / (hi_y - lo_y) for v in ys]
     A = np.column_stack([np.ones(len(xs_s)), xs_s])
     beta = np.linalg.solve(A.T @ A, A.T @ np.array(ys_s))
-    x_test = (task.test_row.vix_lag - lo_x) / (hi_x - lo_x)
+    x_test = (float(rows["vix_lag"][i]) - lo_x) / (hi_x - lo_x)
     yhat_s = beta[0] + beta[1] * x_test
     return yhat_s * (hi_y - lo_y) + lo_y
 
 
 class TestRunWindow:
-    def tasks(self):
-        return rolling.schedule_day(day_rows())
+    def minutes(self):
+        return scheduled_minutes(day_rows())
 
     def test_naive_is_window_mean(self):
-        task = self.tasks()[100]
-        record = rolling.run_window(task, rolling.ModelSpec.naive())
-        targets = np.array([r.r5 for r in task.train_rows])
+        rows = day_rows()
+        minute = self.minutes()[100]
+        i = row_of(rows, minute)
+        record = run_window(rows, minute, rolling.ModelSpec.naive())
+        targets = rows["r5"][window_start(rows, i):i]
+        assert len(targets) == 30
         assert record.y_hat == targets.mean()
         assert record.y_naive == record.y_hat
         assert record.status == "ok"
         assert record.model == "naive"
         assert record.predictor_set == "none"
-        assert record.y_true == task.test_row.r5
+        assert record.y_true == rows["r5"][i]
 
     def test_naive_coherence_across_schedule(self):
-        for task in self.tasks()[::40]:
-            record = rolling.run_window(task, rolling.ModelSpec.naive())
-            mean = np.mean([r.r5 for r in task.train_rows])
+        rows = day_rows()
+        for minute in self.minutes()[::40]:
+            record = run_window(rows, minute, rolling.ModelSpec.naive())
+            i = row_of(rows, minute)
+            mean = np.mean(rows["r5"][window_start(rows, i):i])
             assert record.y_naive == pytest.approx(mean, abs=1e-12)
 
     def test_ols_recovers_exact_linear_target(self):
-        rows = [dataclasses.replace(r, r5=2.0 * r.vix_lag) for r in day_rows()]
-        task = rolling.schedule_day(rows)[50]
-        record = rolling.run_window(task, rolling.ModelSpec.ols("vix"))
+        rows = day_rows().copy()
+        rows["r5"] = 2.0 * rows["vix_lag"]
+        record = run_window(rows, self.minutes()[50], rolling.ModelSpec.ols("vix"))
         assert record.status == "ok"
         assert record.y_hat == pytest.approx(record.y_true, abs=1e-8)
 
     def test_ols_matches_hand_pipeline(self):
-        for task in (self.tasks()[0], self.tasks()[120], self.tasks()[339]):
-            record = rolling.run_window(task, rolling.ModelSpec.ols("vix"))
+        rows = day_rows()
+        for minute in (self.minutes()[0], self.minutes()[120], self.minutes()[339]):
+            record = run_window(rows, minute, rolling.ModelSpec.ols("vix"))
             assert record.status == "ok"
-            assert record.y_hat == pytest.approx(manual_ols_vix_forecast(task), abs=1e-10)
+            assert record.y_hat == pytest.approx(manual_ols_vix_forecast(rows, minute), abs=1e-10)
 
     def test_scaler_ignores_test_row(self):
         # an extreme test row must not shift the forecast: training statistics
         # fully determine the fit, the test row only gets mapped through it
-        task = self.tasks()[60]
-        record = rolling.run_window(task, rolling.ModelSpec.ols("vix"))
-        wild = dataclasses.replace(task.test_row, vix_lag=task.test_row.vix_lag * 100)
-        wild_task = rolling.WindowTask(
-            day=task.day, minute=task.minute, train_rows=task.train_rows, test_row=wild
-        )
-        wild_record = rolling.run_window(wild_task, rolling.ModelSpec.ols("vix"))
+        minute = self.minutes()[60]
+        record = run_window(day_rows(), minute, rolling.ModelSpec.ols("vix"))
+        wild = day_rows().copy()
+        wild["vix_lag"][row_of(wild, minute)] *= 100
+        wild_record = run_window(wild, minute, rolling.ModelSpec.ols("vix"))
         # same fitted line, evaluated at a different point: recompute by hand
-        assert wild_record.y_hat == pytest.approx(manual_ols_vix_forecast(wild_task), abs=1e-10)
+        assert wild_record.y_hat == pytest.approx(manual_ols_vix_forecast(wild, minute), abs=1e-10)
         assert wild_record.y_hat != record.y_hat
 
     def test_constant_predictor_falls_back(self):
-        task = self.tasks()[30]
-        flat_rows = tuple(dataclasses.replace(r, vix_lag=17.0) for r in task.train_rows)
-        flat_task = rolling.WindowTask(
-            day=task.day, minute=task.minute, train_rows=flat_rows,
-            test_row=dataclasses.replace(task.test_row, vix_lag=17.0),
-        )
-        record = rolling.run_window(flat_task, rolling.ModelSpec.ols("vix"))
+        minute = self.minutes()[30]
+        flat = day_rows().copy()
+        i = row_of(flat, minute)
+        flat["vix_lag"][window_start(flat, i):i + 1] = 17.0
+        record = run_window(flat, minute, rolling.ModelSpec.ols("vix"))
         assert record.status == "fallback"
         assert record.y_hat == record.y_naive
 
     def test_nan_predictor_skips(self):
-        task = self.tasks()[30]
-        rows = list(task.train_rows)
-        rows[3] = dataclasses.replace(rows[3], lag_r5=math.nan)
-        bad = rolling.WindowTask(
-            day=task.day, minute=task.minute, train_rows=tuple(rows), test_row=task.test_row
-        )
-        record = rolling.run_window(bad, rolling.ModelSpec.ols("ar1"))
+        minute = self.minutes()[30]
+        bad = day_rows().copy()
+        bad["lag_r5"][window_start(bad, row_of(bad, minute)) + 3] = math.nan
+        record = run_window(bad, minute, rolling.ModelSpec.ols("ar1"))
         assert record.status == "skipped"
         assert math.isnan(record.y_hat)
         assert math.isfinite(record.y_naive)
 
     def test_nan_target_skips_with_nan_naive(self):
-        task = self.tasks()[30]
-        rows = list(task.train_rows)
-        rows[0] = dataclasses.replace(rows[0], r5=math.nan)
-        bad = rolling.WindowTask(
-            day=task.day, minute=task.minute, train_rows=tuple(rows), test_row=task.test_row
-        )
-        record = rolling.run_window(bad, rolling.ModelSpec.naive())
+        minute = self.minutes()[30]
+        bad = day_rows().copy()
+        bad["r5"][window_start(bad, row_of(bad, minute))] = math.nan
+        record = run_window(bad, minute, rolling.ModelSpec.naive())
         assert record.status == "skipped"
         assert math.isnan(record.y_naive)
 
     def test_lstm_window_runs_and_is_deterministic(self):
-        task = self.tasks()[9]
+        minute = self.minutes()[9]
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(hidden_dim=4, epochs=10))
-        a = rolling.run_window(task, spec, master_seed=1)
-        b = rolling.run_window(task, spec, master_seed=1)
+        a = run_window(day_rows(), minute, spec, master_seed=1)
+        b = run_window(day_rows(), minute, spec, master_seed=1)
         assert a == b
         assert a.status == "ok"
         assert math.isfinite(a.y_hat)
-        c = rolling.run_window(task, spec, master_seed=2)
+        c = run_window(day_rows(), minute, spec, master_seed=2)
         assert c.y_hat != a.y_hat
 
     def test_rf_window_runs_and_is_deterministic(self):
-        task = self.tasks()[9]
+        rows = day_rows()
+        minute = self.minutes()[9]
         spec = rolling.ModelSpec.rf("agg", ForestConfig(n_trees=5))
-        a = rolling.run_window(task, spec, master_seed=1)
-        assert a == rolling.run_window(task, spec, master_seed=1)
+        a = run_window(rows, minute, spec, master_seed=1)
+        assert a == run_window(rows, minute, spec, master_seed=1)
         assert a.status == "ok"
-        targets = [r.r5 for r in task.train_rows]
-        assert min(targets) <= a.y_hat <= max(targets)
+        i = row_of(rows, minute)
+        targets = rows["r5"][window_start(rows, i):i]
+        assert targets.min() <= a.y_hat <= targets.max()
+
+
+class TestNoLookahead:
+    """A forecast never reads its own target or anything after it.
+
+    Overwriting the test row's r5 and every feature column of every later
+    row, with finite values so that each LSTM batch keeps its windows, may
+    change only that record's y_true.
+    """
+
+    @pytest.mark.parametrize("spec", [
+        rolling.ModelSpec.naive(),
+        rolling.ModelSpec.ols("vix"),
+        rolling.ModelSpec.ols("ar1"),
+        rolling.ModelSpec.lstm("agg", TrainConfig(hidden_dim=3, epochs=4)),
+        rolling.ModelSpec.rf("agg", ForestConfig(n_trees=4)),
+    ], ids=lambda spec: spec.key)
+    @pytest.mark.parametrize("minute", [45, 60])
+    def test_forecast_ignores_target_and_later_rows(self, spec, minute):
+        rows = minutes_between(day_rows(), 19, 70)
+        before = {r.minute: r for r in rolling.run_day(rows, [spec], master_seed=2)}
+        i = row_of(rows, minute)
+        moved = rows.copy()
+        noise = np.random.default_rng(minute).normal(scale=1e-3, size=(len(rows), 7))
+        moved["r5"][i] += 1.0
+        for k, name in enumerate(md.FEATURE_DTYPE.names[2:]):
+            moved[name][i + 1:] = noise[i + 1:, k]
+        after = {r.minute: r for r in rolling.run_day(moved, [spec], master_seed=2)}
+        assert after[minute].y_true != before[minute].y_true
+        for field in ("y_hat", "y_naive", "status"):
+            assert getattr(after[minute], field) == getattr(before[minute], field)
 
 
 class TestRunDay:
@@ -323,10 +404,9 @@ class TestRunDay:
     def test_matches_run_window_for_direct_models(self):
         roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vrp")]
         records = rolling.run_day(day_rows(), roster)
-        tasks = {t.minute: t for t in rolling.schedule_day(day_rows())}
         for record in records[::97]:
-            direct = rolling.run_window(
-                tasks[record.minute],
+            direct = run_window(
+                day_rows(), record.minute,
                 roster[0] if record.model == "naive" else roster[1],
             )
             assert record == direct
@@ -336,11 +416,10 @@ class TestRunDay:
         records = rolling.run_day(day_rows(), [spec], master_seed=3)
         assert len(records) == 340
         assert all(r.status == "ok" for r in records)
-        tasks = {t.minute: t for t in rolling.schedule_day(day_rows())}
         # batched training regroups GEMMs, so agreement is to rounding,
         # not bitwise
         for record in records[::48]:
-            direct = rolling.run_window(tasks[record.minute], spec, master_seed=3)
+            direct = run_window(day_rows(), record.minute, spec, master_seed=3)
             assert record.y_hat == pytest.approx(direct.y_hat, abs=1e-9)
             assert record.y_naive == direct.y_naive
             assert record.status == direct.status
@@ -348,7 +427,7 @@ class TestRunDay:
     def test_lstm_diverged_batch_falls_back_per_window(self, monkeypatch):
         # a huge init overflows every batch, so each window is retried
         # alone, diverges again, and falls back to the window mean
-        rows = [r for r in day_rows() if r.minute <= 70]
+        rows = minutes_between(day_rows(), 19, 70)
         naive = rolling.ModelSpec.naive()
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(init_scale=1e156, epochs=3))
         solo = []
@@ -390,7 +469,7 @@ class TestRunDay:
         assert by_minute[60].status == "ok"
 
     def test_rf_day_subset(self):
-        rows = [r for r in day_rows() if r.minute <= 120]
+        rows = minutes_between(day_rows(), 19, 120)
         spec = rolling.ModelSpec.rf("vix", ForestConfig(n_trees=3))
         records = rolling.run_day(rows, [spec], master_seed=4)
         assert len(records) == 120 - 41 + 1
