@@ -38,16 +38,26 @@ def main():
     print(f"prediction via basis * means: {basis @ leaf_means:.3f}")
 
     # the bootstrap draws whole contiguous blocks (wrapping at the end) so
-    # neighboring rows stay together, which matters for serial data
-    idx = forest.block_bootstrap_indices(12, 4, np.random.default_rng(8))
-    print(f"\nblock bootstrap of 12 rows, block length 4: {idx.tolist()}")
+    # neighboring rows stay together, which matters for serial data; one
+    # call draws the block starts of every tree
+    rows = forest.block_bootstrap_indices(3, 12, 4, np.random.default_rng(8))
+    print("\nblock bootstrap of 12 rows for 3 trees, block length 4:")
+    for t, r in enumerate(rows):
+        print(f"  tree {t}: {r.tolist()}")
 
+    # rf_fit's one generator draws those starts, then one row of uniforms
+    # per splittable node and level; all 30 trees grow together, level by
+    # level, into one stacked node table
     fitted = forest.rf_fit(X, y, forest.ForestConfig(n_trees=30, min_leaf=5, seed=1))
+    sizes = np.diff(fitted.offsets)
+    print(f"\n{len(fitted.trees)}-tree forest: {fitted.offsets[-1]} rows in one table, "
+          f"{sizes.min()}-{sizes.max()} per tree, depth {fitted.depth}")
     grid = np.linspace(-1.5, 2.5, 5)
-    print(f"\n{len(fitted.trees)}-tree forest along the step function:")
+    print("along the step function:")
     for g in grid:
         per_tree = [forest.tree_predict(t, [g]) for t in fitted.trees]
         mean = forest.rf_predict(fitted, [g])
+        assert mean == float(np.mean(per_tree))  # one walk over all trees, same mean
         print(f"  x={g:5.2f}  forecast {mean:6.3f}  tree spread "
               f"[{min(per_tree):.3f}, {max(per_tree):.3f}]")
 

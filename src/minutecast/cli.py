@@ -252,18 +252,16 @@ def _load_days(config: RunConfig) -> list:
     if (config.input is None) == (config.synth_days is None):
         raise ConfigError("exactly one of 'input' and 'synth_days' must be set")
     if config.input is not None:
-        days = load_minute_bars(config.input)
-        days = [
-            d for d in days
-            if (config.start_date is None or config.start_date <= d.day)
-            and (config.end_date is None or d.day <= config.end_date)
-        ]
-        if not days:
-            raise DataError(f"no usable days in {config.input} within the date range")
-        return days
-    days = _synthetic_days(config)
+        source, days = config.input, load_minute_bars(config.input)
+    else:
+        source, days = f"{config.synth_days} synthetic days", _synthetic_days(config)
+    days = [
+        d for d in days
+        if (config.start_date is None or config.start_date <= d.day)
+        and (config.end_date is None or d.day <= config.end_date)
+    ]
     if not days:
-        raise DataError("synth_days = 0 leaves nothing to run")
+        raise DataError(f"no usable days in {source} within the date range")
     return days
 
 

@@ -139,8 +139,7 @@ def test_criterion_3_tree_and_forest_structure():
     y = rng.normal(size=n)
     seed = next(
         s for s in range(400)
-        if int(np.random.default_rng(
-            np.random.SeedSequence(s).spawn(1)[0]).integers(0, n)) == 0
+        if int(np.random.default_rng(s).integers(0, n)) == 0
     )
     config = forest.ForestConfig(
         n_trees=1, min_leaf=3, max_features=3, block_length=n, seed=seed

@@ -376,6 +376,21 @@ class TestRun:
         assert len(records) == 3 * 340
         assert min(r.day for r in records).isoformat() == "2020-01-06"
 
+    def test_synthetic_days_respect_end_date(self, tmp_path, capsys):
+        config = write_config(tmp_path, """
+            synth_days = 3
+            end_date = 2020-01-02
+            models = naive
+        """)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out)]) == 0
+        records = read_store(out / "predictions.csv")
+        assert len(records) == 340
+        assert {r.day.isoformat() for r in records} == {"2020-01-02"}
+        before = write_config(tmp_path, "synth_days = 3\nend_date = 2019-12-31\n", name="b.conf")
+        assert cli.main(["run", "--config", before, "--out", str(out)]) == 3
+        assert "within the date range" in capsys.readouterr().err
+
     def test_pre_2020_input_runs_with_default_dates(self, tmp_path, capsys):
         # the synthetic start date is no lower bound on an input file's days
         def to_2015(lines):

@@ -4,6 +4,13 @@ The split oracle re-derives the best root split by brute force: every
 column, every midpoint between distinct values, SSE computed directly
 from child means.  The production path uses prefix sums, so agreement
 is meaningful.
+
+The growth oracle is a recursive grower that handles one node at a time:
+it visits the nodes breadth-first, draws each node's columns with its own
+call, and writes each tree out in preorder by recursion. The production
+grower handles a whole level of every tree per step and lays the trees
+out with index arithmetic, so tree-for-tree equality checks both the
+draw order and the layout.
 """
 
 from dataclasses import replace
@@ -60,6 +67,23 @@ def assert_forests_equal(a, b):
         assert_trees_equal(tree_a, tree_b)
 
 
+def stacked_forest(trees, config):
+    """A Forest holding hand-built trees in one table, as rf_fit lays them out."""
+    depth = 0
+    for tree in trees:
+        level = np.zeros(tree.feature.shape[0], dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0):  # a parent's row precedes its children's
+            level[i + 1] = level[tree.right[i]] = level[i] + 1
+        depth = max(depth, int(level.max()))
+    nodes = forest.Tree(
+        *(np.concatenate([getattr(t, name) for t in trees])
+          for name in ("feature", "threshold", "right", "value")),
+        n_features=trees[0].n_features,
+    )
+    offsets = np.cumsum([0] + [t.feature.shape[0] for t in trees])
+    return forest.Forest(nodes=nodes, offsets=offsets, depth=depth, config=config)
+
+
 def heap_positions(tree):
     """(parent, leaf) heap positions; the children of j sit at 2j+1 and 2j+2."""
     split = tree.feature >= 0
@@ -94,6 +118,108 @@ def oracle_block_bootstrap(n, block_length, rng):
         out[filled : filled + take] = (start + np.arange(take)) % n
         filled += take
     return out
+
+
+def oracle_best_split(X, y, min_leaf, columns):
+    """Lowest-SSE (sse, column, threshold) over midpoint candidates, or None.
+
+    Iterates columns ascending with thresholds ascending inside each, and
+    improves only on strictly smaller SSE, so the first optimum wins.
+    """
+    m = y.shape[0]
+    best = None
+    for col in columns:
+        order = np.argsort(X[:, col], kind="stable")
+        xv = X[order, col]
+        ys = y[order]
+        cs = np.cumsum(ys)
+        cq = np.cumsum(ys * ys)
+        total_s = cs[-1]
+        total_q = cq[-1]
+        cut = np.nonzero(xv[:-1] < xv[1:])[0]  # split after these positions
+        nl = cut + 1
+        nr = m - nl
+        valid = (nl >= min_leaf) & (nr >= min_leaf)
+        if not valid.any():
+            continue
+        cut = cut[valid]
+        nl = nl[valid]
+        nr = nr[valid]
+        sl = cs[cut]
+        ql = cq[cut]
+        sse = (ql - sl * sl / nl) + ((total_q - ql) - (total_s - sl) ** 2 / nr)
+        pick = int(np.argmin(sse))  # first index on ties: lowest threshold
+        if best is None or sse[pick] < best[0]:
+            lo, hi = xv[cut[pick]], xv[cut[pick] + 1]
+            thr = 0.5 * (lo + hi)
+            if not thr < hi:  # rounded up to hi: split at lo
+                thr = lo
+            best = (float(sse[pick]), int(col), float(thr))
+    return best
+
+
+def oracle_columns(rng, k, max_features):
+    """One tree's or node's columns: its max_features smallest of k uniforms."""
+    return np.sort(np.argsort(rng.random(k), kind="stable")[:max_features])
+
+
+def oracle_grow(X, y, rows, config, rng):
+    """One tree per entry of rows, grown breadth-first a node at a time.
+
+    Nodes are visited level by level, in tree order and then in order
+    within the level, and each node that can split draws its own columns.
+    """
+    k = X.shape[1]
+    mf = config.resolve_max_features(k)
+    per_tree = config.feature_mode == "per-tree"
+    tree_columns = [oracle_columns(rng, k, mf) for _ in rows] if per_tree else None
+    roots = [{"tree": t, "rows": r} for t, r in enumerate(rows)]
+    level = roots
+    while level:
+        following = []
+        for node in level:
+            Xn, yn = X[node["rows"]], y[node["rows"]]
+            best = None
+            if yn.shape[0] >= 2 * config.min_leaf and not np.all(yn == yn[0]):
+                columns = tree_columns[node["tree"]] if per_tree else oracle_columns(rng, k, mf)
+                best = oracle_best_split(Xn, yn, config.min_leaf, columns)
+            if best is None:
+                node["value"] = np.cumsum(yn)[-1] / yn.shape[0]
+                continue
+            _, col, thr = best
+            mask = Xn[:, col] <= thr
+            node["split"] = (col, thr)
+            node["children"] = [{"tree": node["tree"], "rows": node["rows"][side]}
+                                for side in (mask, ~mask)]
+            following.extend(node["children"])
+        level = following
+    return [oracle_preorder(root, k) for root in roots]
+
+
+def oracle_preorder(root, n_features):
+    """The node table of a grown tree, written by a preorder recursion."""
+    rows = []
+
+    def emit(node):
+        if "split" not in node:
+            rows.append((-1, np.nan, -1, node["value"]))
+            return
+        at = len(rows)
+        rows.append(None)
+        emit(node["children"][0])
+        rows[at] = (*node["split"], len(rows), np.nan)
+        emit(node["children"][1])
+
+    emit(root)
+    return make_tree(*zip(*rows), n_features=n_features)
+
+
+def oracle_rf_fit(X, y, config):
+    """Per tree, its bootstrap drawn a block at a time, then oracle growth."""
+    rng = np.random.default_rng(config.seed)
+    rows = [oracle_block_bootstrap(X.shape[0], config.block_length, rng)
+            for _ in range(config.n_trees)]
+    return oracle_grow(X, y, rows, config, rng)
 
 
 def figure_tree():
@@ -163,6 +289,24 @@ class TestGrowTree:
         assert tree.threshold[0] == 1.5
         assert tree.feature.tolist() == [0, -1, -1]
         assert tree.right[0] == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("lo, hi", [
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # adjacent floats: the midpoint rounds to hi
+        (1.0e308, 1.7e308),  # lo + hi overflows: the midpoint is inf
+    ])
+    def test_split_between_close_or_huge_values_separates_them(self, lo, hi):
+        X = np.array([[lo], [lo], [hi], [hi]])
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        cfg = forest.ForestConfig(n_trees=3, min_leaf=1, block_length=4)
+        tree = forest.grow_tree(X, y, cfg, np.random.default_rng(0))
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == lo
+        assert tree.value[1:].tolist() == [0.0, 1.0]
+        assert forest.tree_predict(tree, np.array([hi])) == 1.0
+        assert_trees_equal(tree, oracle_grow(X, y, [np.arange(4)], cfg, np.random.default_rng(0))[0])
+        for fitted, expected in zip(forest.rf_fit(X, y, cfg).trees, oracle_rf_fit(X, y, cfg)):
+            assert_trees_equal(fitted, expected)
 
     def test_leaf_values_are_routed_means(self):
         rng = np.random.default_rng(7)
@@ -270,14 +414,14 @@ class TestBlockBootstrap:
     def test_full_length_block_is_rotation(self):
         rng = np.random.default_rng(0)
         n = 12
-        idx = forest.block_bootstrap_indices(n, n, rng)
+        idx = forest.block_bootstrap_indices(1, n, n, rng)[0]
         assert sorted(idx) == list(range(n))
         steps = (np.diff(idx) - 1) % n
         assert np.all(steps == 0)
 
     def test_unit_block_is_iid_draws(self):
         rng = np.random.default_rng(1)
-        idx = forest.block_bootstrap_indices(500, 1, rng)
+        idx = forest.block_bootstrap_indices(1, 500, 1, rng)[0]
         assert idx.shape == (500,)
         assert idx.min() >= 0 and idx.max() < 500
         # a length-1 block imposes no serial structure; draws should cover
@@ -287,46 +431,108 @@ class TestBlockBootstrap:
         rng = np.random.default_rng(2)
         n, bl = 50, 7
         for _ in range(20):
-            idx = forest.block_bootstrap_indices(n, bl, rng)
-            assert idx.shape == (n,)
+            rows = forest.block_bootstrap_indices(3, n, bl, rng)
+            assert rows.shape == (3, n)
             for start in range(0, n, bl):
-                block = idx[start : start + bl]
-                assert np.all((np.diff(block) - 1) % n == 0)
+                block = rows[:, start : start + bl]
+                assert np.all((np.diff(block, axis=1) - 1) % n == 0)
 
     def test_block_longer_than_series(self):
         rng = np.random.default_rng(3)
-        idx = forest.block_bootstrap_indices(4, 99, rng)
+        idx = forest.block_bootstrap_indices(1, 4, 99, rng)[0]
         assert idx.shape == (4,)
         assert np.all((np.diff(idx) - 1) % 4 == 0)
 
     def test_deterministic_given_state(self):
-        a = forest.block_bootstrap_indices(30, 5, np.random.default_rng(9))
-        b = forest.block_bootstrap_indices(30, 5, np.random.default_rng(9))
+        a = forest.block_bootstrap_indices(4, 30, 5, np.random.default_rng(9))
+        b = forest.block_bootstrap_indices(4, 30, 5, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_matches_one_draw_per_block_oracle(self):
+        # one call for every tree's blocks draws what one call per block,
+        # tree after tree, draws
         for seed in range(20):
-            for n in (1, 2, 5, 22, 29, 30, 31, 64, 100):
-                for bl in (1, 3, 5, 7, 30, 99):
-                    rng = np.random.default_rng(seed)
-                    oracle_rng = np.random.default_rng(seed)
-                    idx = forest.block_bootstrap_indices(n, bl, rng)
-                    np.testing.assert_array_equal(idx, oracle_block_bootstrap(n, bl, oracle_rng))
-                    assert np.issubdtype(idx.dtype, np.integer)
-                    assert rng.random() == oracle_rng.random()
+            for n_trees in (1, 3):
+                for n in (1, 2, 5, 22, 29, 30, 31, 64, 100):
+                    for bl in (1, 3, 5, 7, 30, 99):
+                        rng = np.random.default_rng(seed)
+                        oracle_rng = np.random.default_rng(seed)
+                        rows = forest.block_bootstrap_indices(n_trees, n, bl, rng)
+                        oracle = [oracle_block_bootstrap(n, bl, oracle_rng)
+                                  for _ in range(n_trees)]
+                        np.testing.assert_array_equal(rows, np.array(oracle))
+                        assert np.issubdtype(rows.dtype, np.integer)
+                        assert rng.random() == oracle_rng.random()
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            forest.block_bootstrap_indices(0, 5, np.random.default_rng(0))
+            forest.block_bootstrap_indices(1, 0, 5, np.random.default_rng(0))
 
 
 def find_identity_rotation_seed(n, limit=400):
-    """Master seed whose first spawned generator starts its block at 0."""
+    """Forest seed whose generator starts a one-tree, one-block bootstrap at 0."""
     for seed in range(limit):
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        if int(rng.integers(0, n)) == 0:
+        if int(np.random.default_rng(seed).integers(0, n)) == 0:
             return seed
     raise AssertionError("no identity-rotation seed found in range")
+
+
+@st.composite
+def growth_cases(draw):
+    """(X, y, config): tied values, constant targets, n below 2*min_leaf."""
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # a few distinct values make ties in X and y; many make them rare
+    distinct_x = draw(st.sampled_from([1, 2, 3, 6, 1000]))
+    X = rng.integers(0, distinct_x, size=(n, k)) * 0.25 + draw(st.sampled_from([0.0, -3.0]))
+    y_kind = draw(st.sampled_from(["constant", "tied", "continuous"]))
+    if y_kind == "constant":
+        y = np.full(n, draw(st.sampled_from([0.0, 0.1, -2.5])))
+    elif y_kind == "tied":
+        y = rng.integers(0, 3, size=n) * 0.1
+    else:
+        y = rng.normal(size=n)
+    config = forest.ForestConfig(
+        n_trees=draw(st.integers(1, 6)),
+        min_leaf=draw(st.integers(1, 5)),
+        max_features=draw(st.integers(1, k)),
+        block_length=draw(st.integers(1, n + 2)),
+        feature_mode=draw(st.sampled_from(["per-split", "per-tree"])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return X, y, config
+
+
+class TestGrowthOracle:
+    @given(case=growth_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_forest_matches_recursive_oracle_tree_for_tree(self, case):
+        X, y, config = case
+        fitted = forest.rf_fit(X, y, config)
+        oracle = oracle_rf_fit(X, y, config)
+        assert len(fitted.trees) == len(oracle) == config.n_trees
+        for tree, expected in zip(fitted.trees, oracle):
+            assert_trees_equal(tree, expected)
+
+    @given(case=growth_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_grow_tree_matches_recursive_oracle(self, case, seed):
+        X, y, config = case
+        tree = forest.grow_tree(X, y, config, np.random.default_rng(seed))
+        rows = [np.arange(X.shape[0])]
+        assert_trees_equal(tree, oracle_grow(X, y, rows, config, np.random.default_rng(seed))[0])
+
+    def test_seeded_windows_match_oracle(self):
+        # default settings on 30-row windows, the shape every rf fit has
+        rng = np.random.default_rng(61)
+        for seed in range(3):
+            X = np.round(rng.uniform(size=(30, 5)), 1)
+            y = rng.uniform(size=30)
+            config = forest.ForestConfig(n_trees=20, seed=seed)
+            for tree, expected in zip(forest.rf_fit(X, y, config).trees,
+                                      oracle_rf_fit(X, y, config)):
+                assert_trees_equal(tree, expected)
 
 
 class TestForest:
@@ -351,15 +557,27 @@ class TestForest:
         assert forest.rf_predict(fitted, np.zeros(2)) == 1.5
 
     def test_mean_of_two_leaves(self):
-        cfg = forest.ForestConfig(n_trees=2)
-        f = forest.Forest(
-            trees=(
-                make_tree([-1], [np.nan], [-1], [1.0], n_features=1),
-                make_tree([-1], [np.nan], [-1], [3.0], n_features=1),
-            ),
-            config=cfg,
+        f = stacked_forest(
+            [make_tree([-1], [np.nan], [-1], [1.0], n_features=1),
+             make_tree([-1], [np.nan], [-1], [3.0], n_features=1)],
+            forest.ForestConfig(n_trees=2),
         )
         assert forest.rf_predict(f, np.array([0.0])) == 2.0
+
+    def test_walk_over_trees_of_different_depths(self):
+        # the walk runs the deepest tree's depth; shallower trees stay at their leaves
+        trees = [make_tree([-1], [np.nan], [-1], [0.5], n_features=2), figure_tree(),
+                 make_tree([1, -1, -1], [0.0, np.nan, np.nan], [2, -1, -1],
+                           [np.nan, -1.0, 7.0], n_features=2)]
+        f = stacked_forest(trees, forest.ForestConfig(n_trees=3))
+        assert f.depth == 3
+        for tree, view in zip(trees, f.trees):
+            assert_trees_equal(view, tree)
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            x = rng.uniform(-5, 20, size=2)
+            per_tree = [forest.tree_predict(t, x) for t in trees]
+            assert forest.rf_predict(f, x) == float(np.mean(per_tree))
 
     def test_prediction_is_bitwise_mean_of_trees(self):
         rng = np.random.default_rng(33)
@@ -399,7 +617,7 @@ class TestForest:
         assert_forests_equal(forest.rf_fit(X, y, cfg), fitted)
         for tree in fitted.trees:
             used = set(tree.feature[tree.feature >= 0].tolist())
-            assert len(used) <= 1  # the single drawn column, remapped
+            assert len(used) <= 1  # the tree's one drawn column
             assert all(0 <= v < 3 for v in used)
         # predictions still evaluate against full-width inputs
         forest.rf_predict(fitted, np.zeros(3))

@@ -50,13 +50,13 @@ PREDICTION_SLICES = {
     ("ols-rv", "rv"): "678b039c1ce4af357ff346dba65f54a85a1b700d6da588be9e69f12e17a3319e",
     ("ols-vix", "vix"): "0a0cdad49eeb49d862e7a4175db0e25404d57b714606cf090eef126486397acf",
     ("ols-vrp", "vrp"): "b5c33804981b4cd8ff335f2e873162221147ea079e4fe4cadf5af4bf1ec88ac5",
-    ("rf", "agg"): "0c5aadcc452f337ee56ad29d8556078bb9904e2f3e7f2768bf9f5715a0edee4b",
-    ("rf", "vix"): "1ef4d76ccdafe97e21efd04d56920b799005fda6b376903cdf60ad7f65f69a1a",
+    ("rf", "agg"): "fc1c1036b5a3c62d3bae07d467439b2ec96b14f16b4e5538184cff255de46fc9",
+    ("rf", "vix"): "e53f86fe033ccf0f7f08af6b1558e80c3d0ce29988d5dd9aa45954759498da6b",
 }
-DAILY_METRICS = "71315c4e1baad8ea976cae54eccecdd998d255147f9f6797219a325f6bf4170a"
-AGGREGATE_REPORT = "380e54b68c1b820deec2adc4acbdc11ee2b65eb74ce8418f92a198287dec5103"
+DAILY_METRICS = "6590b5c2fabd814cd4c62a9debed7a710d97db541addb9d2188ae933c8aa2ee4"
+AGGREGATE_REPORT = "56ad6904823808eb777fb94265a3abd9205177eeb09400f8582487369d5a4017"
 TRAIN_WINDOWS = "5c7120506928b15ee124f5aa73465258240da8bf51dbc305b014449e3c120c1c"
-RF_FEATURE_MODES = "d8ddca4aeb7f634894a3db1e3938e0403726beb1e335ed68b00180d50b9a40a4"
+RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 
 
 def _bar_lines():
