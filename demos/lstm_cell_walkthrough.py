@@ -7,7 +7,6 @@ through the same kernel that training runs.
 """
 
 import numpy as np
-from scipy.special import expit
 
 from minutecast.lstm import LstmParams, TrainConfig, gradient_check, lstm_predict, lstm_train
 
@@ -27,7 +26,7 @@ def main():
     # the textbook equations, spelled out; the state starts at zero, so the
     # recurrent term and the forget gate drop out of the first step
     z = params.w_x @ x + params.b
-    i, o = expit(z[d : 2 * d]), expit(z[2 * d : 3 * d])
+    i, o = 1.0 / (1.0 + np.exp(-z[d : 2 * d])), 1.0 / (1.0 + np.exp(-z[2 * d : 3 * d]))
     c = i * np.tanh(z[3 * d :])
     h = o * np.tanh(c)
     by_hand = float(params.w_y @ h + params.b_y)

@@ -14,17 +14,18 @@ batch of W windows with S subsequences of L steps each.  Training
 prediction (:func:`lstm_predict`) and the finite-difference check
 (:func:`gradient_check`) all run through it, the last two with W = S = 1,
 so the gradient that is checked is the gradient that trains.
+The sigmoid gates are ``0.5 * tanh(0.5 * z) + 0.5``, which cannot
+overflow, and a window that diverges is masked inside its batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import expit
 
 from .errors import ConfigError, FitError, NumericError, ShapeError
 
@@ -184,9 +185,11 @@ def _init_window(rng: np.random.Generator, n: int, d: int, scale: float):
 class _Workspace:
     """Inputs and buffers of one batched BPTT over X of shape (W, S, L, n).
 
-    Step-major activation slabs keep every per-step read and write
-    contiguous; all buffers live across epochs so the hot loop never
-    allocates.  This loop dominates a full-sample run, hence the fuss.
+    Step-major activation slabs keep per-step reads and writes contiguous,
+    but for the gate views F, I and O, which share one slab so that each
+    step computes the three sigmoids, and their derivatives, in one pass.
+    All buffers live across epochs so the hot loop never allocates.  This
+    loop dominates a full-sample run, hence the fuss.
     """
 
     def __init__(self, X: np.ndarray, d: int):
@@ -194,9 +197,8 @@ class _Workspace:
         H4 = 4 * d
         self.shape = (W, S, L, n, d)
         self.X_flat = X.reshape(W, S * L, n)
-        self.F = np.empty((L, W, S, d))
-        self.I = np.empty((L, W, S, d))
-        self.O = np.empty((L, W, S, d))
+        self.G = np.empty((L, W, S, 3 * d))
+        self.F, self.I, self.O = (self.G[..., k * d : (k + 1) * d] for k in range(3))
         self.P = np.empty((L, W, S, d))
         self.C = np.empty((L, W, S, d))
         self.TC = np.empty((L, W, S, d))
@@ -211,7 +213,7 @@ class _Workspace:
         self.dc_carry = np.empty((W, S, d))
         self.t1 = np.empty((W, S, d))
         self.t2 = np.empty((W, S, d))
-        self.t3 = np.empty((W, S, d))
+        self.dG = np.empty((W, S, 3 * d))
         self.X_L = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
         self.g_wx = np.empty((W, H4, n))
         self.g_wh = np.empty((W, H4, d))
@@ -230,7 +232,7 @@ def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
     """
     W, S, L, n, d = ws.shape
     H4 = 4 * d
-    F, I, O, P, C, TC, H = ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H
+    G, F, I, O, P, C, TC, H = ws.G, ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H
     Yhat, zbuf, zeros_state, t1 = ws.Yhat, ws.zbuf, ws.zeros_state, ws.t1
     X_proj = (ws.X_flat @ w_x.transpose(0, 2, 1)).reshape(W, S, L, H4)
     X_proj += b[:, None, None, :]
@@ -241,9 +243,10 @@ def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
         h_prev = H[j - 1] if j else zeros_state
         np.matmul(h_prev, w_hT, out=zbuf)
         zbuf += X_proj[j]
-        expit(zbuf[..., :d], out=F[j])
-        expit(zbuf[..., d : 2 * d], out=I[j])
-        expit(zbuf[..., 2 * d : 3 * d], out=O[j])
+        np.multiply(zbuf[..., : 3 * d], 0.5, out=G[j])
+        np.tanh(G[j], out=G[j])
+        G[j] *= 0.5
+        G[j] += 0.5  # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5
         np.tanh(zbuf[..., 3 * d :], out=P[j])
         np.multiply(F[j], c_prev, out=t1)
         np.multiply(I[j], P[j], out=C[j])
@@ -266,9 +269,9 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
     call.
     """
     W, S, L, n, d = ws.shape
-    F, I, O, P, C, TC, H, DZ = ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H, ws.DZ
+    G, F, I, O, P, C, TC, H, DZ = ws.G, ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H, ws.DZ
     dY, zeros_state = ws.dY, ws.zeros_state
-    dh, dh_carry, dc_carry, t1, t2, t3 = ws.dh, ws.dh_carry, ws.dc_carry, ws.t1, ws.t2, ws.t3
+    dh, dh_carry, dc_carry, t1, t2, dG = ws.dh, ws.dh_carry, ws.dc_carry, ws.t1, ws.t2, ws.dG
     g_wx, g_wh, g_wy = ws.g_wx, ws.g_wh, ws.g_wy
     gx_tmp, gh_tmp, gy_tmp = ws.gx_tmp, ws.gh_tmp, ws.gy_tmp
     np.subtract(ws.Yhat, YL, out=dY)
@@ -287,18 +290,12 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
         t1 *= O[j]
         t1 *= dh
         t1 += dc_carry  # t1 is now dc
-        np.subtract(1.0, F[j], out=t2)
-        t2 *= F[j]
-        np.multiply(t1, c_prev, out=t3)
-        np.multiply(t3, t2, out=DZ[j][..., :d])
-        np.subtract(1.0, I[j], out=t2)
-        t2 *= I[j]
-        np.multiply(t1, P[j], out=t3)
-        np.multiply(t3, t2, out=DZ[j][..., d : 2 * d])
-        np.subtract(1.0, O[j], out=t2)
-        t2 *= O[j]
-        np.multiply(dh, TC[j], out=t3)
-        np.multiply(t3, t2, out=DZ[j][..., 2 * d : 3 * d])
+        np.subtract(1.0, G[j], out=dG)
+        dG *= G[j]  # sigmoid'(z) = (1 - g) * g, for the three gates at once
+        np.multiply(t1, c_prev, out=DZ[j][..., :d])
+        np.multiply(t1, P[j], out=DZ[j][..., d : 2 * d])
+        np.multiply(dh, TC[j], out=DZ[j][..., 2 * d : 3 * d])
+        DZ[j][..., : 3 * d] *= dG
         np.multiply(P[j], P[j], out=t2)
         np.subtract(1.0, t2, out=t2)
         t2 *= I[j]
@@ -318,7 +315,7 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
     return g_wx, g_wh, g_b, g_wy, g_by
 
 
-def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[LstmParams]:
+def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[Optional[LstmParams]]:
     """Train one independent LSTM per window, all at once.
 
     X has shape (W, S, L, n): W windows, each contributing S overlapping
@@ -334,7 +331,12 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[LstmP
     step size and the defaults train at constant speed instead of
     stalling on the small-gradient plateau near initialization.
 
-    Returns one fitted LstmParams per window, in input order.
+    A window diverges when an epoch's forecasts or gradient norm, or its
+    final parameters, are not all finite.  From then on it takes no
+    steps, and the other windows of the batch are unaffected.
+
+    Returns one fitted LstmParams per window, in input order, and None
+    for a window that diverged.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=float))
     Y = np.ascontiguousarray(np.asarray(Y, dtype=float))
@@ -368,35 +370,29 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[LstmP
         w_x[w], w_h[w], b[w], w_y[w], b_y[w] = _init_window(
             np.random.default_rng(int(seed)), n, d, config.init_scale
         )
+    params = (w_x, w_h, b, w_y, b_y)
 
     ws = _Workspace(X, d)
     YL = np.ascontiguousarray(Y.transpose(2, 0, 1))
-    for epoch in range(config.epochs):
-        Yhat = _forward(ws, w_x, w_h, b, w_y, b_y)
-        if not math.isfinite(float(Yhat.sum())):
-            raise NumericError(f"training diverged at epoch {epoch}")
-        g_wx, g_wh, g_b, g_wy, g_by = _backward(ws, YL, w_h, w_y)
+    alive = np.ones(W, dtype=bool)
+    for _ in range(config.epochs):
+        Yhat = _forward(ws, *params)
+        alive &= np.isfinite(Yhat).all(axis=(0, 2))
+        grads = _backward(ws, YL, w_h, w_y)
 
-        sq = (
-            (g_wx * g_wx).sum(axis=(1, 2))
-            + (g_wh * g_wh).sum(axis=(1, 2))
-            + (g_b * g_b).sum(axis=1)
-            + (g_wy * g_wy).sum(axis=1)
-            + g_by * g_by
-        )
-        norm = np.sqrt(sq)
-        scale = np.minimum(1.0, clip / np.maximum(norm, 1e-300))
-        w_x -= (lr * scale)[:, None, None] * g_wx
-        w_h -= (lr * scale)[:, None, None] * g_wh
-        b -= (lr * scale)[:, None] * g_b
-        w_y -= (lr * scale)[:, None] * g_wy
-        b_y -= (lr * scale) * g_by
+        sq = sum((g * g).reshape(W, -1).sum(axis=1) for g in grads)
+        alive &= np.isfinite(sq)
+        rate = lr * np.minimum(1.0, clip / np.maximum(np.sqrt(sq), 1e-300))
+        for p, g in zip(params, grads):
+            # a diverged window keeps its parameters as they are
+            per_window = (W,) + (1,) * (p.ndim - 1)
+            np.subtract(p, rate.reshape(per_window) * g, out=p, where=alive.reshape(per_window))
 
+    for p in params:
+        alive &= np.isfinite(p.reshape(W, -1)).all(axis=1)
     return [
-        LstmParams(
-            w_x=w_x[w].copy(), w_h=w_h[w].copy(), b=b[w].copy(),
-            w_y=w_y[w].copy(), b_y=float(b_y[w]),
-        )
+        LstmParams(w_x[w].copy(), w_h[w].copy(), b[w].copy(), w_y[w].copy(), float(b_y[w]))
+        if alive[w] else None
         for w in range(W)
     ]
 
@@ -418,7 +414,10 @@ def lstm_train(X, y, config: TrainConfig) -> LstmParams:
         raise FitError(f"window has {X.shape[0]} rows; need at least {L + 1}")
     X_sub = sliding_window_view(X, L, axis=0).transpose(0, 2, 1)[None]
     Y_sub = sliding_window_view(y, L)[None]
-    return train_windows(X_sub, Y_sub, config, [config.seed])[0]
+    params = train_windows(X_sub, Y_sub, config, [config.seed])[0]
+    if params is None:
+        raise NumericError("training diverged")
+    return params
 
 
 def _batched(params: LstmParams):

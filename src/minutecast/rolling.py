@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigError, DataError, FitError, NumericError, ParseError
 from .forest import ForestConfig, rf_fit, rf_predict
 from .linear import Benchmark, ols_fit, ols_predict
+# perfbench/trace.py wraps lstm_train and lstm_predict here by name, so both stay imported
 from .lstm import TrainConfig, lstm_predict, lstm_train, train_windows
 from .marketdata import (
     MAX_FEATURE_LAG,
@@ -351,8 +352,10 @@ def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
 
     All windows with the same row count share tensor shapes, so they train
     as one call with per-window seeds; results per window do not depend on
-    which other windows shared the batch. A window with no more rows than
-    the sequence length cannot form a training subsequence and falls back.
+    which other windows shared the batch. A window falls back when it has
+    no more rows than the sequence length, so it cannot form a training
+    subsequence, when its training diverged, or when its forecast is not
+    finite.
     """
     config = spec.train_config
     length = config.sequence_length
@@ -368,11 +371,7 @@ def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
             for i in members
         ])
         Y = np.stack([sliding_window_view(preps[i].y_train, length) for i in members])
-        try:
-            fitted = train_windows(X, Y, config, [seeds[i] for i in members])
-        except NumericError:
-            # a diverged window poisons the whole batch; retrain each alone
-            fitted = [_lstm_solo(preps[i], replace(config, seed=seeds[i])) for i in members]
+        fitted = train_windows(X, Y, config, [seeds[i] for i in members])
         for i, params in zip(members, fitted):
             if params is None:
                 continue
@@ -384,13 +383,6 @@ def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
             except NumericError:
                 pass
     return forecasts
-
-
-def _lstm_solo(prep: _PreparedWindow, config: TrainConfig):
-    try:
-        return lstm_train(prep.x_train, prep.y_train, config)
-    except NumericError:
-        return None
 
 
 def _finish(prep: _PreparedWindow, yhat_scaled):

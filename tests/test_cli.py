@@ -484,6 +484,22 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert "PASS" in result.stdout
 
+    def test_import_does_not_load_scipy(self):
+        # numpy is the only runtime dependency; a fresh interpreter shows
+        # it even where scipy is installed
+        package_root = str(Path(minutecast.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, minutecast, minutecast.cli; print('scipy' in sys.modules)"],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:
             cli.main(["forecast"])

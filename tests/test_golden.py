@@ -42,8 +42,8 @@ rf_trees = 3
 """
 
 PREDICTION_SLICES = {
-    ("lstm", "agg"): "faf912773a4d5e190c4b2ccda7e9765de905dbcbf73a8e9e7ce0b2d68077a990",
-    ("lstm", "vix"): "a561c5a30c712652c65ccd7c2f129e3d3eeee50dc251ca15971eac7134931501",
+    ("lstm", "agg"): "376bf2637380986c913c6a2702f77b34d0ca4ba11117f0613dd371f5c137a56d",
+    ("lstm", "vix"): "883307d938d7b98515130f395a73d50d4737dcc503f93c2067395e1f8173af2e",
     ("naive", "none"): "59fa8a13e15536992a267f711fe40c366918959ed0e66071edb29ff725dce4d1",
     ("ols-ar1", "ar1"): "5877fe9b55a66e177710401de8194d47cf61ffb8e308fb64abac918897543a9f",
     ("ols-dvix", "dvix"): "08b6e35583a1ba1a01fa5fcb8105a2a53c31727372302828dc1be2661cd4e5ab",
@@ -55,7 +55,7 @@ PREDICTION_SLICES = {
 }
 DAILY_METRICS = "6590b5c2fabd814cd4c62a9debed7a710d97db541addb9d2188ae933c8aa2ee4"
 AGGREGATE_REPORT = "56ad6904823808eb777fb94265a3abd9205177eeb09400f8582487369d5a4017"
-TRAIN_WINDOWS = "5c7120506928b15ee124f5aa73465258240da8bf51dbc305b014449e3c120c1c"
+TRAIN_WINDOWS = "3e54c9aa818bf15aec97002bcb3c0078cd0ded2668c23baf9679b1f1a35a9c90"
 RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
 from minutecast import lstm
 from minutecast.errors import ConfigError, FitError, NumericError, ShapeError
@@ -51,6 +50,11 @@ def _init_from_seed(cfg, n, seed):
 # the oracle: one sequence, one step at a time, per-gate blocks
 # ---------------------------------------------------------------------------
 
+def sigmoid(z):
+    """The logistic function in its textbook form (the kernel uses tanh)."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def oracle_forward(params, seq):
     """Run the cell over an (L, n) sequence from zero state.
 
@@ -67,7 +71,7 @@ def oracle_forward(params, seq):
     for j in range(L):
         acts["c_prev"][j], acts["h_prev"][j] = c, h
         z = params.w_x @ seq[j] + params.w_h @ h + params.b
-        f, i, o = expit(z[:d]), expit(z[d : 2 * d]), expit(z[2 * d : 3 * d])
+        f, i, o = sigmoid(z[:d]), sigmoid(z[d : 2 * d]), sigmoid(z[2 * d : 3 * d])
         p = np.tanh(z[3 * d :])
         c = f * c + i * p
         h = o * np.tanh(c)
@@ -164,7 +168,7 @@ class TestLstmStep:
             w_h=np.zeros((4, 1)), b=b, w_y=np.array([1.0]), b_y=0.0,
         )
         gates = kernel_gates(kernel_forward(params, [[1.0]]))
-        c_expect = expit(30.0) * math.tanh(1.0)  # ~ tanh(1) = 0.76159
+        c_expect = math.tanh(1.0) / (1.0 + math.exp(-30.0))  # ~ tanh(1) = 0.76159
         h_expect = 0.5 * math.tanh(c_expect)     # ~ 0.32101
         assert gates["C"][0, 0] == pytest.approx(c_expect, abs=1e-15)
         assert gates["H"][0, 0] == pytest.approx(h_expect, abs=1e-15)
@@ -524,6 +528,40 @@ class TestTraining:
     def test_empty_window_axis(self):
         cfg = lstm.TrainConfig(hidden_dim=2, sequence_length=3)
         assert lstm.train_windows(np.zeros((0, 4, 3, 1)), np.zeros((0, 4, 3)), cfg, []) == []
+
+    def test_diverged_window_is_masked_and_siblings_are_untouched(self):
+        # overflowing targets make one window's gradient non-finite; that
+        # window comes back None and the others train bit for bit as they
+        # do next to a finite window
+        rng = np.random.default_rng(81)
+        W, S, L, n = 4, 6, 5, 2
+        X = rng.uniform(0, 1, size=(W, S, L, n))
+        Y = rng.uniform(0, 1, size=(W, S, L))
+        cfg = lstm.TrainConfig(hidden_dim=3, epochs=10, sequence_length=L)
+        seeds = [3, 4, 5, 6]
+        clean = lstm.train_windows(X, Y, cfg, seeds)
+        Y[2] = 1.7e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            masked = lstm.train_windows(X, Y, cfg, seeds)
+        assert masked[2] is None
+        for w in (0, 1, 3):
+            assert np.array_equal(
+                lstm.flatten_params(masked[w]), lstm.flatten_params(clean[w])
+            )
+
+    def test_overflowing_gradient_norm_is_masked(self):
+        # one huge target leaves the gradient finite but overflows its
+        # norm, so the clipped step would be zero for ever; the window is
+        # masked instead of coming back untrained
+        rng = np.random.default_rng(82)
+        X = rng.uniform(0, 1, size=(2, 6, 5, 1))
+        Y = rng.uniform(0, 1, size=(2, 6, 5))
+        Y[0, 1, 3] = 1.7e308
+        cfg = lstm.TrainConfig(hidden_dim=2, epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            fitted = lstm.train_windows(X, Y, cfg, [1, 2])
+        assert fitted[0] is None
+        assert isinstance(fitted[1], lstm.LstmParams)
 
     def test_divergence_raises_numeric_error(self):
         # pathologically large init saturates the gates and overflows the
