@@ -276,80 +276,29 @@ def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> 
     return int.from_bytes(digest, "big")
 
 
-@dataclass(frozen=True)
-class _PreparedWindow:
-    """A window scaled and ready to fit."""
+def _window_forecasts(spec: ModelSpec, windows, seeds) -> list:
+    """OLS or RF: fit and forecast window by window; None where a fit fails.
 
-    y_naive: float
-    scaler: object
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-
-
-def _prepare_window(window: np.ndarray, test: np.ndarray, spec: ModelSpec):
-    """Scale one window. Returns ((y_hat, y_naive, status), None) when no fit
-    is needed or possible, else (None, prepared).
-
-    ``window`` holds the training rows and ``test`` the test row, each as the
-    model's feature columns followed by the r5 target.
+    Each window is an (x_train, y_train, x_test) triple of scaled arrays.
     """
-    k = window.shape[1] - 1
-    train_y = window[:, k]
-    if not np.all(np.isfinite(train_y)) or not math.isfinite(test[k]):
-        return (math.nan, math.nan, STATUS_SKIPPED), None
-    y_naive = float(train_y.mean())
-    if spec.family is ModelFamily.NAIVE:
-        return (y_naive, y_naive, STATUS_OK), None
-
-    if not np.all(np.isfinite(window[:, :k])) or not np.all(np.isfinite(test[:k])):
-        return (math.nan, y_naive, STATUS_SKIPPED), None
-
-    # scaler statistics come from training rows only; the test predictors are
-    # mapped with those statistics and the test target is never scaled
-    scaler = fit_minmax(window)
-    padded = np.append(test[:k], 0.0)  # dummy slot for the target column
-    try:
-        scaled = transform(scaler, window)
-        x_test = transform(scaler, padded[None, :])[0, :k]
-    except NumericError:
-        # no finite scaled form, e.g. a test value far outside a tiny training span
-        return (y_naive, y_naive, STATUS_FALLBACK), None
-    return None, _PreparedWindow(
-        y_naive=y_naive,
-        scaler=scaler,
-        x_train=scaled[:, :k],
-        y_train=scaled[:, k],
-        x_test=x_test,
-    )
-
-
-def _forecast_sequence(x_train: np.ndarray, x_test: np.ndarray, length: int) -> np.ndarray:
-    # the `length` most recent feature vectors, ending at the test minute
-    if length == 1:
-        return x_test[None, :]
-    return np.vstack([x_train[-(length - 1):], x_test[None, :]])
-
-
-def _window_forecasts(spec: ModelSpec, preps, seeds) -> list:
-    """OLS or RF: fit and forecast window by window; None where a fit fails."""
     forecasts = []
-    for prep, seed in zip(preps, seeds):
+    for (x_train, y_train, x_test), seed in zip(windows, seeds):
         try:
             if spec.family is ModelFamily.OLS_BENCH:
-                forecast = ols_predict(ols_fit(prep.x_train, prep.y_train), prep.x_test)
+                forecast = ols_predict(ols_fit(x_train, y_train), x_test)
             else:
                 config = replace(spec.forest_config, seed=seed)
-                forecast = rf_predict(rf_fit(prep.x_train, prep.y_train, config), prep.x_test)
+                forecast = rf_predict(rf_fit(x_train, y_train, config), x_test)
         except (FitError, NumericError):
             forecast = None
         forecasts.append(forecast)
     return forecasts
 
 
-def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
+def _lstm_forecasts(spec: ModelSpec, windows, seeds) -> list:
     """LSTM: train same-length windows as one batch; None where a window falls back.
 
+    Each window is an (x_train, y_train, x_test) triple of scaled arrays.
     All windows with the same row count share tensor shapes, so they train
     as one call with per-window seeds; results per window do not depend on
     which other windows shared the batch. A window falls back when it has
@@ -359,40 +308,30 @@ def _lstm_forecasts(spec: ModelSpec, preps, seeds) -> list:
     """
     config = spec.train_config
     length = config.sequence_length
-    forecasts = [None] * len(preps)
+    forecasts = [None] * len(windows)
     groups: dict = {}
-    for i, prep in enumerate(preps):
-        if prep.x_train.shape[0] > length:
-            groups.setdefault(prep.x_train.shape[0], []).append(i)
+    for i, (x_train, _, _) in enumerate(windows):
+        if len(x_train) > length:
+            groups.setdefault(len(x_train), []).append(i)
 
     for _, members in sorted(groups.items()):
         X = np.stack([
-            sliding_window_view(preps[i].x_train, length, axis=0).transpose(0, 2, 1)
+            sliding_window_view(windows[i][0], length, axis=0).transpose(0, 2, 1)
             for i in members
         ])
-        Y = np.stack([sliding_window_view(preps[i].y_train, length) for i in members])
+        Y = np.stack([sliding_window_view(windows[i][1], length) for i in members])
         fitted = train_windows(X, Y, config, [seeds[i] for i in members])
         for i, params in zip(members, fitted):
             if params is None:
                 continue
-            prep = preps[i]
+            x_train, _, x_test = windows[i]
+            # the `length` most recent feature vectors, ending at the test minute
+            sequence = np.vstack([x_train[len(x_train) - length + 1:], x_test])
             try:
-                forecasts[i] = lstm_predict(
-                    params, _forecast_sequence(prep.x_train, prep.x_test, length)
-                )
+                forecasts[i] = lstm_predict(params, sequence)
             except NumericError:
                 pass
     return forecasts
-
-
-def _finish(prep: _PreparedWindow, yhat_scaled):
-    """(y_hat, y_naive, status) of a fitted window; a failed fit falls back."""
-    if yhat_scaled is not None:
-        target_column = prep.scaler.n_columns - 1
-        y_hat = inverse_transform_target(prep.scaler, float(yhat_scaled), target_column)
-        if math.isfinite(y_hat):
-            return y_hat, prep.y_naive, STATUS_OK
-    return prep.y_naive, prep.y_naive, STATUS_FALLBACK
 
 
 def _run_model(
@@ -400,43 +339,76 @@ def _run_model(
 ) -> List[PredictionRecord]:
     """One model over every scheduled test row, one record each in row order.
 
-    Impossible inputs are recorded as skipped and the naive model needs no
-    fit. Every other window is fitted on its scaled training rows with a
-    seed derived from (master seed, day, minute, model key); its forecast
-    is mapped back to return units, and a fit that fails falls back to the
-    training-window mean.
+    A window whose inputs are not all finite is recorded as skipped, with
+    no naive forecast when a target is among them; the naive model needs
+    no fit. Every other window is scaled by its own training rows, all
+    windows in one call, and fitted with a seed derived from (master seed,
+    day, minute, model key); its forecast is mapped back to return units.
+    A window with no finite scaled form, a fit that fails and a forecast
+    that is not finite fall back to the training-window mean.
     """
     if not len(tests):
         return []
     day = rows["day"][0].item()
     minutes = rows["minute"]
     data = np.column_stack([rows[c] for c in spec.feature_columns + ("r5",)])
-    starts = tests - _window_length(minutes[tests])
-    prepared = [
-        _prepare_window(data[start:i], data[i], spec)
-        for start, i in zip(starts.tolist(), tests.tolist())
-    ]
-    preps = [prep for _, prep in prepared if prep is not None]
-    seeds = [
-        derive_seed(master_seed, day, int(minutes[i]), spec.key)
-        for i, (_, prep) in zip(tests, prepared) if prep is not None
-    ]
-    forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
-    forecasts = iter(forecast(spec, preps, seeds))
-    records = []
-    for i, (outcome, prep) in zip(tests, prepared):
-        y_hat, y_naive, status = outcome if prep is None else _finish(prep, next(forecasts))
-        records.append(PredictionRecord(
+    k = data.shape[1] - 1
+    lengths = _window_length(minutes[tests])
+    # every window as the 30 rows that end at its test row; a warm-up
+    # window's missing rows repeat its first row, which moves no min or max
+    gather = np.maximum(
+        tests[:, None] + np.arange(-TRAIN_WINDOW_MINUTES, 0), (tests - lengths)[:, None]
+    )
+    windows = data[gather]
+    test_rows = data[tests]
+    finite = np.isfinite(windows).all(axis=1) & np.isfinite(test_rows)
+    usable = finite.all(axis=1)
+    # one window at a time: a mean along the stack's axis sums in another order
+    y_naive = np.array([
+        data[i - n:i, k].mean() if scored else math.nan
+        for i, n, scored in zip(tests.tolist(), lengths.tolist(), finite[:, k].tolist())
+    ])
+    y_hat, ok = y_naive, usable
+    if spec.family is not ModelFamily.NAIVE:
+        # scaler statistics come from training rows only; the test predictors
+        # are mapped with those statistics and the test target's image is dropped
+        scaler = fit_minmax(windows)
+        scaled = transform(scaler, windows)
+        x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
+        fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(x_test).all(axis=1)
+        members = np.flatnonzero(fit).tolist()
+        forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
+        forecasts = forecast(
+            spec,
+            [(scaled[j, -n:, :k], scaled[j, -n:, k], x_test[j])
+             for j, n in zip(members, lengths[members].tolist())],
+            [derive_seed(master_seed, day, int(minutes[tests[j]]), spec.key) for j in members],
+        )
+        yhat_scaled = np.full(len(tests), math.nan)
+        ok = np.zeros(len(tests), dtype=bool)
+        for j, value in zip(members, forecasts):
+            if value is not None:
+                yhat_scaled[j], ok[j] = value, True
+        y_hat = inverse_transform_target(scaler, yhat_scaled, k)
+        ok &= np.isfinite(y_hat)
+    status = np.where(ok, STATUS_OK, np.where(usable, STATUS_FALLBACK, STATUS_SKIPPED))
+    y_hat = np.where(ok, y_hat, np.where(usable, y_naive, math.nan))
+    return [
+        PredictionRecord(
             day=day,
-            minute=int(minutes[i]),
+            minute=minute,
             model=spec.model_id,
             predictor_set=spec.predictor_set_id,
-            y_true=float(data[i, -1]),
-            y_hat=float(y_hat),
-            y_naive=float(y_naive),
-            status=status,
-        ))
-    return records
+            y_true=y_true,
+            y_hat=forecast_value,
+            y_naive=naive,
+            status=state,
+        )
+        for minute, y_true, forecast_value, naive, state in zip(
+            minutes[tests].tolist(), test_rows[:, k].tolist(), y_hat.tolist(),
+            y_naive.tolist(), status.tolist(),
+        )
+    ]
 
 
 def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:

@@ -1,99 +1,82 @@
-"""Per-window MinMax scaling.
+"""Per-window MinMax scaling, one window or a stack of windows per call.
 
 Fitted on training rows only; the same parameters scale both training and
-test data, so test values may fall outside [0, 1]. Constant training columns
-are flagged degenerate: they transform to 0.0 and invert to the stored
-constant, because a quiet 30-minute window can genuinely produce them.
-A span tiny next to a probe's distance from the minimum can push the scaled
-value past the largest float, and a column spanning more than the largest
-float has no finite span at all; in both cases transform raises
-NumericError rather than returning inf or a collapsed value.
+test data, so test values may fall outside [0, 1]. Data is (..., rows,
+columns): every function reduces or broadcasts over the last two axes, so a
+(W, N, k) stack of W windows scales and inverts exactly as W separate
+(N, k) calls would. Constant training columns are flagged degenerate: they
+transform to 0.0 and invert to the stored constant, because a quiet
+30-minute window can genuinely produce them. An entry with no finite scaled
+form comes back non-finite instead of raising: every entry of a column
+spanning more than the largest float, and any value whose distance from the
+minimum overflows against a tiny span. Callers decide what that means.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitError, NumericError, ShapeError
+from .errors import FitError, ShapeError
 
 
 @dataclass(frozen=True)
 class MinMaxScaler:
     mins: np.ndarray
     maxs: np.ndarray
-    degenerate: frozenset[int] = field(default_factory=frozenset)
 
     @property
     def n_columns(self) -> int:
-        return len(self.mins)
+        return self.mins.shape[-1]
 
-
-def _as_matrix(data) -> np.ndarray:
-    matrix = np.asarray(data, dtype=float)
-    if matrix.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={matrix.ndim}")
-    return matrix
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Boolean mask of the columns that were constant in training."""
+        return self.maxs == self.mins
 
 
 def fit_minmax(train_matrix) -> MinMaxScaler:
-    """Columnwise min/max of the training rows. Requires at least 2 rows."""
-    matrix = _as_matrix(train_matrix)
-    if matrix.shape[0] < 2:
-        raise FitError(f"need at least 2 training rows, got {matrix.shape[0]}")
-    mins = matrix.min(axis=0)
-    maxs = matrix.max(axis=0)
-    degenerate = frozenset(int(i) for i in np.nonzero(maxs == mins)[0])
-    return MinMaxScaler(mins=mins, maxs=maxs, degenerate=degenerate)
+    """Columnwise min/max over the rows axis (-2). Requires at least 2 rows."""
+    matrix = np.asarray(train_matrix, dtype=float)
+    if matrix.ndim < 2:
+        raise ShapeError(f"expected (..., rows, columns) data, got ndim={matrix.ndim}")
+    if matrix.shape[-2] < 2:
+        raise FitError(f"need at least 2 training rows, got {matrix.shape[-2]}")
+    return MinMaxScaler(mins=matrix.min(axis=-2), maxs=matrix.max(axis=-2))
 
 
 def transform(scaler: MinMaxScaler, matrix) -> np.ndarray:
     """(x - min) / (max - min) per column; degenerate columns map to 0.0.
 
-    Raises NumericError, naming the first such column, when a fitted span
-    is not a finite float or a finite input scales to a value that is not.
+    ``matrix`` is (..., rows, columns) with leading axes that broadcast
+    against the scaler's. A column whose span is not a finite float scales
+    to NaN throughout.
     """
-    data = _as_matrix(matrix)
-    if data.shape[1] != scaler.n_columns:
+    data = np.asarray(matrix, dtype=float)
+    if data.ndim < 2 or data.shape[-1] != scaler.n_columns:
         raise ShapeError(
-            f"scaler fitted on {scaler.n_columns} columns, got {data.shape[1]}"
+            f"scaler fitted on {scaler.n_columns} columns, got shape {data.shape}"
         )
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         spans = scaler.maxs - scaler.mins
-    unbounded = ~np.isfinite(spans)
-    if unbounded.any():
-        col = int(np.flatnonzero(unbounded)[0])
-        raise NumericError(
-            f"scaling column {col}: span from {float(scaler.mins[col])!r} "
-            f"to {float(scaler.maxs[col])!r} is not a finite float"
-        )
-    safe = np.where(spans == 0.0, 1.0, spans)
-    with np.errstate(over="ignore"):
-        out = (data - scaler.mins) / safe
-    if scaler.degenerate:
-        out[:, sorted(scaler.degenerate)] = 0.0
-    overflow = np.isfinite(data) & ~np.isfinite(out)
-    if overflow.any():
-        col = int(np.flatnonzero(overflow.any(axis=0))[0])
-        raise NumericError(
-            f"scaling column {col} overflows: span {float(spans[col])!r} "
-            f"from minimum {float(scaler.mins[col])!r}"
-        )
-    return out
+        spans = np.where(np.isfinite(spans), spans, np.nan)
+        out = (data - scaler.mins[..., None, :]) / spans[..., None, :]
+    return np.where(scaler.degenerate[..., None, :], 0.0, out)
 
 
-def inverse_transform_target(scaler: MinMaxScaler, scaled_value: float, target_column: int) -> float:
-    """Map a scaled prediction back to data units for one fitted column.
+def inverse_transform_target(scaler: MinMaxScaler, scaled_value, target_column: int):
+    """Map scaled predictions back to data units for one fitted column.
 
+    ``scaled_value`` broadcasts against the scaler's leading axes.
     Degenerate columns return their stored constant regardless of input.
     """
     if not 0 <= target_column < scaler.n_columns:
         raise ShapeError(
             f"column {target_column} not fitted (scaler has {scaler.n_columns})"
         )
-    lo = float(scaler.mins[target_column])
-    if target_column in scaler.degenerate:
-        return lo
-    hi = float(scaler.maxs[target_column])
-    return scaled_value * (hi - lo) + lo
+    lo = scaler.mins[..., target_column]
+    hi = scaler.maxs[..., target_column]
+    with np.errstate(all="ignore"):
+        out = np.where(hi == lo, lo, scaled_value * (hi - lo) + lo)
+    return out[()]

@@ -475,6 +475,127 @@ class TestRunDay:
         assert records == rolling.run_day(rows, [spec], master_seed=4)
 
 
+def oracle_prepare(window, test, spec):
+    """The per-window preparation that stacked scaling replaced, kept as the oracle.
+
+    Returns ((y_hat, y_naive, status), None) when no fit is needed or
+    possible, else (None, (y_naive, lo, hi, x_train, y_train, x_test)). The
+    scaler is fitted on this window alone, and a span or scaled value that
+    floats cannot hold falls back, as the old NumericError did.
+    """
+    k = window.shape[1] - 1
+    train_y = window[:, k]
+    if not np.all(np.isfinite(train_y)) or not math.isfinite(test[k]):
+        return (math.nan, math.nan, "skipped"), None
+    y_naive = float(train_y.mean())
+    if spec.family is rolling.ModelFamily.NAIVE:
+        return (y_naive, y_naive, "ok"), None
+    if not np.all(np.isfinite(window[:, :k])) or not np.all(np.isfinite(test[:k])):
+        return (math.nan, y_naive, "skipped"), None
+    mins, maxs = window.min(axis=0), window.max(axis=0)
+    with np.errstate(over="ignore"):
+        spans = maxs - mins
+    if not np.all(np.isfinite(spans)):
+        return (y_naive, y_naive, "fallback"), None
+    safe = np.where(spans == 0.0, 1.0, spans)
+    padded = np.append(test[:k], 0.0)[None, :]  # dummy slot for the target column
+    scaled = []
+    for data in (window, padded):
+        with np.errstate(over="ignore"):
+            out = (data - mins) / safe
+        out[:, spans == 0.0] = 0.0
+        if not np.all(np.isfinite(out)):
+            return (y_naive, y_naive, "fallback"), None
+        scaled.append(out)
+    lo, hi = float(mins[k]), float(maxs[k])
+    return None, (y_naive, lo, hi, scaled[0][:, :k], scaled[0][:, k], scaled[1][0, :k])
+
+
+def oracle_finish(prep, yhat_scaled):
+    y_naive, lo, hi = prep[:3]
+    if yhat_scaled is not None:
+        y_hat = lo if hi == lo else float(yhat_scaled) * (hi - lo) + lo
+        if math.isfinite(y_hat):
+            return y_hat, y_naive, "ok"
+    return y_naive, y_naive, "fallback"
+
+
+def oracle_run(rows, spec, master_seed):
+    """(minute, status, repr(y_hat), repr(y_naive)) per window, one window at a time."""
+    tests = rolling.schedule_day(rows)
+    minutes = rows["minute"]
+    data = np.column_stack([rows[c] for c in spec.feature_columns + ("r5",)])
+    starts = tests - rolling._window_length(minutes[tests])
+    prepared = [oracle_prepare(data[s:i], data[i], spec) for s, i in zip(starts, tests)]
+    fitted = [(i, prep) for i, (_, prep) in zip(tests, prepared) if prep is not None]
+    forecast = (rolling._lstm_forecasts if spec.family is rolling.ModelFamily.LSTM
+                else rolling._window_forecasts)
+    forecasts = iter(forecast(
+        spec,
+        [prep[3:] for _, prep in fitted],
+        [rolling.derive_seed(master_seed, DAY, int(minutes[i]), spec.key) for i, _ in fitted],
+    ))
+    out = []
+    for i, (outcome, prep) in zip(tests, prepared):
+        y_hat, y_naive, status = outcome if prep is None else oracle_finish(prep, next(forecasts))
+        out.append((int(minutes[i]), status, repr(float(y_hat)), repr(float(y_naive))))
+    return out
+
+
+ORACLE_SPECS = [
+    rolling.ModelSpec.naive(),
+    rolling.ModelSpec.ols("vix"),
+    rolling.ModelSpec.rf("agg", ForestConfig(n_trees=3)),
+    rolling.ModelSpec.lstm("agg", TrainConfig(hidden_dim=2, epochs=2)),
+]
+ORACLE_COLUMNS = sorted({c for spec in ORACLE_SPECS for c in spec.feature_columns} | {"r5"})
+
+
+@st.composite
+def perturbed_days(draw):
+    """The first 30-100 minutes of a gapped day, with extreme and constant stretches.
+
+    Each perturbation hits one column the oracle specs read: a NaN, inf or
+    +/-1e308 entry, a pair +/-1e308 close enough to share a window, a
+    constant stretch, or a stretch of zeros around one subnormal value,
+    against which the next normal value overflows.
+    """
+    last = draw(st.integers(50, 120))
+    rows = minutes_between(day_rows(draw(st.sampled_from([3, 5]))), 19, last)
+    rows = drop_minutes(rows, draw(st.sets(st.integers(19, last), max_size=5))).copy()
+    n = len(rows)
+    for _ in range(draw(st.integers(0, 4))):
+        column = rows[draw(st.sampled_from(ORACLE_COLUMNS))]
+        first = draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["value", "pair", "constant", "subnormal"]))
+        if kind == "value":
+            column[first] = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]))
+        elif kind == "pair":
+            column[first] = 1e308
+            column[min(first + draw(st.integers(1, 29)), n - 1)] = -1e308
+        elif kind == "constant":
+            column[first:first + draw(st.integers(2, 45))] = column[first]
+        else:
+            stop = first + draw(st.integers(25, 45))
+            column[first:stop] = 0.0
+            column[min(first + draw(st.integers(0, 24)), n - 1)] = draw(
+                st.sampled_from([5e-324, 1e-311])
+            )
+    return rows
+
+
+class TestStackedScalingMatchesOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(perturbed_days(), st.integers(0, 3))
+    def test_records_match_per_window_oracle(self, rows, master_seed):
+        for spec in ORACLE_SPECS:
+            with np.errstate(all="ignore"):
+                expected = oracle_run(rows, spec, master_seed)
+                records = rolling.run_day(rows, [spec], master_seed)
+            got = [(r.minute, r.status, repr(r.y_hat), repr(r.y_naive)) for r in records]
+            assert got == expected, spec.key
+
+
 def sample_days(n: int, seed: int = 11):
     params = md.SynthParams(n_days=n, seed=seed)
     return [
