@@ -63,6 +63,10 @@ log = logging.getLogger(__name__)
 
 TRAIN_WINDOW_MINUTES = 30
 
+# A scaled test predictor may lie at most this many training spans outside
+# [0, 1]; farther out a fit only extrapolates, and the window falls back.
+MAX_EXTRAPOLATION = 10.0
+
 # Earliest minute with a complete feature row: every predictor lag must fit
 # inside the session.
 EARLIEST_FEATURE_MINUTE = SESSION_START_MINUTE + MAX_FEATURE_LAG
@@ -344,8 +348,9 @@ def _run_model(
     no fit. Every other window is scaled by its own training rows, all
     windows in one call, and fitted with a seed derived from (master seed,
     day, minute, model key); its forecast is mapped back to return units.
-    A window with no finite scaled form, a fit that fails and a forecast
-    that is not finite fall back to the training-window mean.
+    A window with no finite scaled form or a test predictor more than
+    MAX_EXTRAPOLATION training spans outside [0, 1], a fit that fails and a
+    forecast that is not finite fall back to the training-window mean.
     """
     if not len(tests):
         return []
@@ -375,7 +380,8 @@ def _run_model(
         scaler = fit_minmax(windows)
         scaled = transform(scaler, windows)
         x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
-        fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(x_test).all(axis=1)
+        in_range = (x_test >= -MAX_EXTRAPOLATION) & (x_test <= 1.0 + MAX_EXTRAPOLATION)
+        fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & in_range.all(axis=1)
         members = np.flatnonzero(fit).tolist()
         forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
         forecasts = forecast(

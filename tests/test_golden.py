@@ -4,7 +4,9 @@ Every family runs on a two-day bar file that exercises each record status:
 a stretch of constant VIX makes ols-vix fall back, one gapped day thins the
 schedule, and one bar quoting VIX at 1e200 overflows the squared intraday
 VIX, so vrp_lag is -inf and every vrp or agg window that touches it is
-skipped.
+skipped. Windows whose test predictor lies far outside their training range
+(vix_lag and dvix_lag at minute 125, vrp_lag at 106) fall back, so every ok
+record is finite and the metrics raise no overflow warning.
 
 A change that moves a digest changes what the program writes. Re-pin only
 together with a CHANGES.md entry giving the reason and the largest |dy_hat|.
@@ -16,6 +18,7 @@ import datetime as dt
 import hashlib
 
 import numpy as np
+import pytest
 
 from minutecast import cli, forest, lstm
 from minutecast.marketdata import (
@@ -42,19 +45,19 @@ rf_trees = 3
 """
 
 PREDICTION_SLICES = {
-    ("lstm", "agg"): "376bf2637380986c913c6a2702f77b34d0ca4ba11117f0613dd371f5c137a56d",
-    ("lstm", "vix"): "883307d938d7b98515130f395a73d50d4737dcc503f93c2067395e1f8173af2e",
+    ("lstm", "agg"): "5a96444a164db111742045618020334a175c3a42d50758347660ddcc394b5f0c",
+    ("lstm", "vix"): "0122ec03140507a117c40d108dbbee2c807a418479dde051863b89f48b8c7a1b",
     ("naive", "none"): "59fa8a13e15536992a267f711fe40c366918959ed0e66071edb29ff725dce4d1",
     ("ols-ar1", "ar1"): "5877fe9b55a66e177710401de8194d47cf61ffb8e308fb64abac918897543a9f",
-    ("ols-dvix", "dvix"): "08b6e35583a1ba1a01fa5fcb8105a2a53c31727372302828dc1be2661cd4e5ab",
+    ("ols-dvix", "dvix"): "08b2f39b3b6897e97de9348a35aa40ced5da697308de8ff05000431052e0962f",
     ("ols-rv", "rv"): "678b039c1ce4af357ff346dba65f54a85a1b700d6da588be9e69f12e17a3319e",
-    ("ols-vix", "vix"): "0a0cdad49eeb49d862e7a4175db0e25404d57b714606cf090eef126486397acf",
-    ("ols-vrp", "vrp"): "b5c33804981b4cd8ff335f2e873162221147ea079e4fe4cadf5af4bf1ec88ac5",
-    ("rf", "agg"): "fc1c1036b5a3c62d3bae07d467439b2ec96b14f16b4e5538184cff255de46fc9",
-    ("rf", "vix"): "e53f86fe033ccf0f7f08af6b1558e80c3d0ce29988d5dd9aa45954759498da6b",
+    ("ols-vix", "vix"): "e74e60976f2bc75abb99f06d83d4ca338f3be82f71d2663947bad40a39b80946",
+    ("ols-vrp", "vrp"): "b4a7b8d739435c5044752609baeb0e92cad31bbe645077c4c59d963c3fdde0f8",
+    ("rf", "agg"): "f9efcdff2347339225197913391cdc30d79b57a70ed23618cf65de0508c3c107",
+    ("rf", "vix"): "e4675affd149aa99ad5d05e15cc0ec218633b5259bba97c0925f7ab21175cdaa",
 }
-DAILY_METRICS = "6590b5c2fabd814cd4c62a9debed7a710d97db541addb9d2188ae933c8aa2ee4"
-AGGREGATE_REPORT = "56ad6904823808eb777fb94265a3abd9205177eeb09400f8582487369d5a4017"
+DAILY_METRICS = "53c1afe66eac7d1f33bd4cf4e4e28e62c1c4bb057f86cb1d3d202efec3510994"
+AGGREGATE_REPORT = "1f5bbce3580a4fb313463e9dbed08d6303283b6b84eea9b2ee59704109972cc6"
 TRAIN_WINDOWS = "3e54c9aa818bf15aec97002bcb3c0078cd0ded2668c23baf9679b1f1a35a9c90"
 RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 
@@ -82,6 +85,7 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_golden_store(tmp_path, capsys):
     bars = tmp_path / "bars.csv"
     bars.write_text("\n".join(_bar_lines()) + "\n")

@@ -288,16 +288,35 @@ class TestRunWindow:
             assert record.y_hat == pytest.approx(manual_ols_vix_forecast(rows, minute), abs=1e-10)
 
     def test_scaler_ignores_test_row(self):
-        # an extreme test row must not shift the forecast: training statistics
-        # fully determine the fit, the test row only gets mapped through it
+        # a test row five spans above the training range must not shift the
+        # forecast: training statistics fully determine the fit, the test row
+        # only gets mapped through it
         minute = self.minutes()[60]
         record = run_window(day_rows(), minute, rolling.ModelSpec.ols("vix"))
         wild = day_rows().copy()
-        wild["vix_lag"][row_of(wild, minute)] *= 100
+        i = row_of(wild, minute)
+        train = wild["vix_lag"][window_start(wild, i):i]
+        wild["vix_lag"][i] = train.max() + 5 * (train.max() - train.min())
         wild_record = run_window(wild, minute, rolling.ModelSpec.ols("vix"))
+        assert wild_record.status == "ok"
         # same fitted line, evaluated at a different point: recompute by hand
         assert wild_record.y_hat == pytest.approx(manual_ols_vix_forecast(wild, minute), abs=1e-10)
         assert wild_record.y_hat != record.y_hat
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_far_extrapolation_falls_back(self, side):
+        minute = self.minutes()[60]
+        wild = day_rows().copy()
+        i = row_of(wild, minute)
+        train = wild["vix_lag"][window_start(wild, i):i].copy()
+        span = train.max() - train.min()
+        edge = train.max() if side > 0 else train.min()
+        for spans, status in ((0.99, "ok"), (1.01, "fallback"), (100.0, "fallback")):
+            wild["vix_lag"][i] = edge + side * spans * rolling.MAX_EXTRAPOLATION * span
+            record = run_window(wild, minute, rolling.ModelSpec.ols("vix"))
+            assert record.status == status, spans
+            if status == "fallback":
+                assert record.y_hat == record.y_naive
 
     def test_constant_predictor_falls_back(self):
         minute = self.minutes()[30]
@@ -481,7 +500,8 @@ def oracle_prepare(window, test, spec):
     Returns ((y_hat, y_naive, status), None) when no fit is needed or
     possible, else (None, (y_naive, lo, hi, x_train, y_train, x_test)). The
     scaler is fitted on this window alone, and a span or scaled value that
-    floats cannot hold falls back, as the old NumericError did.
+    floats cannot hold falls back, as the old NumericError did, as does a
+    test predictor more than MAX_EXTRAPOLATION spans outside [0, 1].
     """
     k = window.shape[1] - 1
     train_y = window[:, k]
@@ -507,8 +527,11 @@ def oracle_prepare(window, test, spec):
         if not np.all(np.isfinite(out)):
             return (y_naive, y_naive, "fallback"), None
         scaled.append(out)
+    x_test = scaled[1][0, :k]
+    if np.any(x_test < -rolling.MAX_EXTRAPOLATION) or np.any(x_test > 1 + rolling.MAX_EXTRAPOLATION):
+        return (y_naive, y_naive, "fallback"), None
     lo, hi = float(mins[k]), float(maxs[k])
-    return None, (y_naive, lo, hi, scaled[0][:, :k], scaled[0][:, k], scaled[1][0, :k])
+    return None, (y_naive, lo, hi, scaled[0][:, :k], scaled[0][:, k], x_test)
 
 
 def oracle_finish(prep, yhat_scaled):
