@@ -358,6 +358,7 @@ def _run_model(
     minutes = rows["minute"]
     data = np.column_stack([rows[c] for c in spec.feature_columns + ("r5",)])
     k = data.shape[1] - 1
+    test_minutes = minutes[tests].tolist()
     lengths = _window_length(minutes[tests])
     # every window as the 30 rows that end at its test row; a warm-up
     # window's missing rows repeat its first row, which moves no min or max
@@ -376,7 +377,8 @@ def _run_model(
     y_hat, ok = y_naive, usable
     if spec.family is not ModelFamily.NAIVE:
         # scaler statistics come from training rows only; the test predictors
-        # are mapped with those statistics and the test target's image is dropped
+        # are mapped with those statistics and the test target's scaled value
+        # is discarded
         scaler = fit_minmax(windows)
         scaled = transform(scaler, windows)
         x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
@@ -388,7 +390,7 @@ def _run_model(
             spec,
             [(scaled[j, -n:, :k], scaled[j, -n:, k], x_test[j])
              for j, n in zip(members, lengths[members].tolist())],
-            [derive_seed(master_seed, day, int(minutes[tests[j]]), spec.key) for j in members],
+            [derive_seed(master_seed, day, test_minutes[j], spec.key) for j in members],
         )
         yhat_scaled = np.full(len(tests), math.nan)
         ok = np.zeros(len(tests), dtype=bool)
@@ -411,7 +413,7 @@ def _run_model(
             status=state,
         )
         for minute, y_true, forecast_value, naive, state in zip(
-            minutes[tests].tolist(), test_rows[:, k].tolist(), y_hat.tolist(),
+            test_minutes, test_rows[:, k].tolist(), y_hat.tolist(),
             y_naive.tolist(), status.tolist(),
         )
     ]
