@@ -15,7 +15,6 @@ from .errors import (
     NumericError,
     ParseError,
     ShapeError,
-    SingularFitError,
 )
 from .forest import Forest, ForestConfig, rf_fit, rf_predict
 from .linear import Benchmark, OlsFit, ols_fit, ols_predict
@@ -62,7 +61,6 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "FitError",
-    "SingularFitError",
     "MinuteBar",
     "DaySeries",
     "FEATURE_DTYPE",

@@ -27,7 +27,3 @@ class NumericError(ArithmeticError):
 
 class FitError(RuntimeError):
     """Model estimation could not run on the given window."""
-
-
-class SingularFitError(FitError):
-    """Rank-deficient regression design; caller falls back to the naive forecast."""

@@ -1,12 +1,15 @@
 """Ordinary least squares fits for the single-regressor benchmark models.
 
 Each benchmark regresses the five-minute return target on exactly one
-lagged predictor column plus an intercept.  Fits are immutable and the
-solver goes through an orthogonal decomposition (``numpy.linalg.lstsq``)
-rather than the raw normal equations, which keeps near-collinear windows
-from blowing up.  A genuinely rank-deficient window raises
-:class:`~minutecast.errors.SingularFitError` so the caller can fall back
-to the naive training-mean forecast instead of aborting the day.
+lagged predictor column plus an intercept, so a fit has a closed form:
+slope and intercept from the centred sums. One call fits a whole stack of
+windows, ``(..., n, 1)``, each leading index on its own; a single window
+is the case with no leading axes, and a stack fits bit for bit like its
+windows one by one. A window whose regressor is constant has no slope: its
+fit and forecast come back NaN, and the caller falls back to the naive
+training-mean forecast for that window alone. After min-max scaling that
+is the only singular case, because a non-constant column then holds both
+0 and 1, so its centred sum of squares is at least 1/2.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, FitError, ShapeError, SingularFitError
+from .errors import ConfigError, FitError, ShapeError
 
 __all__ = [
     "Benchmark",
@@ -65,70 +68,49 @@ _PREDICTOR_COLUMN = {
 
 @dataclass(frozen=True)
 class OlsFit:
-    """An estimated intercept-plus-slopes regression.
+    """Estimated intercepts (...,) and slopes (..., 1), one pair per window."""
 
-    residual_variance uses the unbiased n - k - 1 denominator; it is NaN
-    when the window has no spare degrees of freedom beyond the minimum.
-    """
-
-    intercept: float
+    intercept: np.ndarray
     coef: np.ndarray
-    residual_variance: float
-    n_obs: int
-
-    def __post_init__(self):
-        coef = np.asarray(self.coef, dtype=float)
-        if coef.ndim != 1:
-            raise ShapeError("coef must be a 1-D vector")
-        object.__setattr__(self, "coef", coef)
-
-    @property
-    def n_regressors(self) -> int:
-        return self.coef.shape[0]
 
 
 def ols_fit(X, y) -> OlsFit:
-    """Least-squares fit of ``y = intercept + X @ coef`` by SVD.
+    """Least-squares fit of ``y = intercept + X[..., 0] * coef`` in closed form.
 
-    Requires n >= k + 2 observations.  A design matrix whose augmented
-    form [1 | X] has deficient column rank raises SingularFitError.
+    X is (..., n, 1) and y is (..., n): every leading index is its own
+    window, fitted as ``slope = sum(dx * dy) / sum(dx**2)`` over the
+    centred data and ``intercept = mean(y) - slope * mean(x)``. A window
+    whose regressor is constant has no slope and gets NaN; no other window
+    is affected. Requires n >= 3 observations and finite inputs.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-D, got ndim={X.ndim}")
-    if y.ndim != 1:
-        raise ShapeError(f"y must be 1-D, got ndim={y.ndim}")
-    n, k = X.shape
-    if y.shape[0] != n:
-        raise ShapeError(f"X has {n} rows but y has {y.shape[0]}")
-    if n < k + 2:
-        raise FitError(f"need at least {k + 2} observations for {k} regressors, got {n}")
+    if X.ndim < 2 or X.shape[-1] != 1:
+        raise ShapeError(f"X must be (..., n, 1), got shape {X.shape}")
+    if y.shape != X.shape[:-1]:
+        raise ShapeError(f"X has shape {X.shape} but y has {y.shape}")
+    if X.shape[-2] < 3:
+        raise FitError(f"need at least 3 observations, got {X.shape[-2]}")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise FitError("non-finite values in regression inputs")
 
-    design = np.hstack([np.ones((n, 1)), X])
-    solution, _, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-    if rank < k + 1:
-        raise SingularFitError(f"design rank {rank} < {k + 1}; window is degenerate")
-
-    residuals = y - design @ solution
-    ssr = float(residuals @ residuals)
-    dof = n - k - 1
-    residual_variance = ssr / dof if dof > 0 else float("nan")
-    return OlsFit(
-        intercept=float(solution[0]),
-        coef=solution[1:],
-        residual_variance=residual_variance,
-        n_obs=n,
-    )
+    # contiguous rows sum in the same order whatever the leading axes
+    x = np.ascontiguousarray(X[..., 0])
+    y = np.ascontiguousarray(y)
+    x_mean = x.mean(axis=-1)
+    y_mean = y.mean(axis=-1)
+    dx = x - x_mean[..., None]
+    dy = y - y_mean[..., None]
+    # the mean of a constant column need not equal it, so test the range
+    flat = x.max(axis=-1) == x.min(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = np.where(flat, np.nan, (dx * dy).sum(axis=-1) / (dx * dx).sum(axis=-1))
+    return OlsFit(intercept=y_mean - slope * x_mean, coef=slope[..., None])
 
 
-def ols_predict(fit: OlsFit, x) -> float:
-    """Evaluate ``intercept + x @ coef`` at a single predictor vector."""
+def ols_predict(fit: OlsFit, x):
+    """Evaluate ``intercept + x[..., 0] * coef`` at predictors x of shape (..., 1)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != fit.n_regressors:
-        raise ShapeError(
-            f"predictor vector of length {fit.n_regressors} required, got shape {x.shape}"
-        )
-    return float(fit.intercept + x @ fit.coef)
+    if x.shape[-1:] != (1,):
+        raise ShapeError(f"predictor vectors of length 1 required, got shape {x.shape}")
+    return fit.intercept + x[..., 0] * fit.coef[..., 0]

@@ -280,62 +280,62 @@ def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> 
     return int.from_bytes(digest, "big")
 
 
-def _window_forecasts(spec: ModelSpec, windows, seeds) -> list:
-    """OLS or RF: fit and forecast window by window; None where a fit fails.
+def _ols_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
+    """OLS: one closed-form fit over the stack; NaN where the regressor is constant."""
+    return ols_predict(ols_fit(X, y), x_test)
 
-    Each window is an (x_train, y_train, x_test) triple of scaled arrays.
-    """
-    forecasts = []
-    for (x_train, y_train, x_test), seed in zip(windows, seeds):
+
+def _rf_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
+    """RF: one forest per window, grown from its own seed; NaN where a fit fails."""
+    forecasts = np.full(len(X), math.nan)
+    for j, seed in enumerate(seeds):
+        config = replace(spec.forest_config, seed=seed)
         try:
-            if spec.family is ModelFamily.OLS_BENCH:
-                forecast = ols_predict(ols_fit(x_train, y_train), x_test)
-            else:
-                config = replace(spec.forest_config, seed=seed)
-                forecast = rf_predict(rf_fit(x_train, y_train, config), x_test)
+            forecasts[j] = rf_predict(rf_fit(X[j], y[j], config), x_test[j])
         except (FitError, NumericError):
-            forecast = None
-        forecasts.append(forecast)
+            pass
     return forecasts
 
 
-def _lstm_forecasts(spec: ModelSpec, windows, seeds) -> list:
-    """LSTM: train same-length windows as one batch; None where a window falls back.
+def _lstm_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
+    """LSTM: train the stack's windows as one batch; NaN where a window falls back.
 
-    Each window is an (x_train, y_train, x_test) triple of scaled arrays.
-    All windows with the same row count share tensor shapes, so they train
-    as one call with per-window seeds; results per window do not depend on
-    which other windows shared the batch. A window falls back when it has
-    no more rows than the sequence length, so it cannot form a training
-    subsequence, when its training diverged, or when its forecast is not
-    finite.
+    Windows train with per-window seeds, and results per window do not
+    depend on which other windows shared the batch. A window falls back
+    when it has no more rows than the sequence length, so it cannot form a
+    training subsequence, when its training diverged, or when its forecast
+    is not finite.
     """
     config = spec.train_config
     length = config.sequence_length
-    forecasts = [None] * len(windows)
-    groups: dict = {}
-    for i, (x_train, _, _) in enumerate(windows):
-        if len(x_train) > length:
-            groups.setdefault(len(x_train), []).append(i)
-
-    for _, members in sorted(groups.items()):
-        X = np.stack([
-            sliding_window_view(windows[i][0], length, axis=0).transpose(0, 2, 1)
-            for i in members
-        ])
-        Y = np.stack([sliding_window_view(windows[i][1], length) for i in members])
-        fitted = train_windows(X, Y, config, [seeds[i] for i in members])
-        for i, params in zip(members, fitted):
-            if params is None:
-                continue
-            x_train, _, x_test = windows[i]
-            # the `length` most recent feature vectors, ending at the test minute
-            sequence = np.vstack([x_train[len(x_train) - length + 1:], x_test])
-            try:
-                forecasts[i] = lstm_predict(params, sequence)
-            except NumericError:
-                pass
+    W, n, _ = X.shape
+    forecasts = np.full(W, math.nan)
+    if n <= length:
+        return forecasts
+    fitted = train_windows(
+        sliding_window_view(X, length, axis=1).transpose(0, 1, 3, 2),
+        sliding_window_view(y, length, axis=1),
+        config,
+        seeds,
+    )
+    for j, params in enumerate(fitted):
+        if params is None:
+            continue
+        # the `length` most recent feature vectors, ending at the test minute
+        sequence = np.vstack([X[j, n - length + 1:], x_test[j]])
+        try:
+            forecasts[j] = lstm_predict(params, sequence)
+        except NumericError:
+            pass
     return forecasts
+
+
+# every non-naive family: (spec, X (W, n, k), y (W, n), x_test (W, k), seeds) -> (W,)
+_FORECASTS = {
+    ModelFamily.OLS_BENCH: _ols_forecasts,
+    ModelFamily.RF: _rf_forecasts,
+    ModelFamily.LSTM: _lstm_forecasts,
+}
 
 
 def _run_model(
@@ -384,21 +384,16 @@ def _run_model(
         x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
         in_range = (x_test >= -MAX_EXTRAPOLATION) & (x_test <= 1.0 + MAX_EXTRAPOLATION)
         fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & in_range.all(axis=1)
-        members = np.flatnonzero(fit).tolist()
-        forecast = _lstm_forecasts if spec.family is ModelFamily.LSTM else _window_forecasts
-        forecasts = forecast(
-            spec,
-            [(scaled[j, -n:, :k], scaled[j, -n:, k], x_test[j])
-             for j, n in zip(members, lengths[members].tolist())],
-            [derive_seed(master_seed, day, test_minutes[j], spec.key) for j in members],
-        )
+        forecast = _FORECASTS[spec.family]
         yhat_scaled = np.full(len(tests), math.nan)
-        ok = np.zeros(len(tests), dtype=bool)
-        for j, value in zip(members, forecasts):
-            if value is not None:
-                yhat_scaled[j], ok[j] = value, True
+        # one stack per window length; a day's windows have 22 to 30 rows
+        for n in sorted(set(lengths[fit].tolist())):
+            j = np.flatnonzero(fit & (lengths == n))
+            seeds = [derive_seed(master_seed, day, test_minutes[i], spec.key) for i in j.tolist()]
+            yhat_scaled[j] = forecast(spec, scaled[j, -n:, :k], scaled[j, -n:, k], x_test[j], seeds)
         y_hat = inverse_transform_target(scaler, yhat_scaled, k)
-        ok &= np.isfinite(y_hat)
+        # a degenerate target inverts to its constant whatever the forecast
+        ok = np.isfinite(yhat_scaled) & np.isfinite(y_hat)
     status = np.where(ok, STATUS_OK, np.where(usable, STATUS_FALLBACK, STATUS_SKIPPED))
     y_hat = np.where(ok, y_hat, np.where(usable, y_naive, math.nan))
     return [

@@ -48,16 +48,16 @@ PREDICTION_SLICES = {
     ("lstm", "agg"): "5a96444a164db111742045618020334a175c3a42d50758347660ddcc394b5f0c",
     ("lstm", "vix"): "0122ec03140507a117c40d108dbbee2c807a418479dde051863b89f48b8c7a1b",
     ("naive", "none"): "59fa8a13e15536992a267f711fe40c366918959ed0e66071edb29ff725dce4d1",
-    ("ols-ar1", "ar1"): "5877fe9b55a66e177710401de8194d47cf61ffb8e308fb64abac918897543a9f",
-    ("ols-dvix", "dvix"): "08b2f39b3b6897e97de9348a35aa40ced5da697308de8ff05000431052e0962f",
-    ("ols-rv", "rv"): "678b039c1ce4af357ff346dba65f54a85a1b700d6da588be9e69f12e17a3319e",
-    ("ols-vix", "vix"): "e74e60976f2bc75abb99f06d83d4ca338f3be82f71d2663947bad40a39b80946",
-    ("ols-vrp", "vrp"): "b4a7b8d739435c5044752609baeb0e92cad31bbe645077c4c59d963c3fdde0f8",
+    ("ols-ar1", "ar1"): "2acbdd7304f0b00e8626e174632944cff1c3601bd848622dccb0c0767fc94d5c",
+    ("ols-dvix", "dvix"): "bf3c8c720fae6a3fdc26080f7ec816e302e371ba0bb353b4cb1346c5899e4e15",
+    ("ols-rv", "rv"): "4bdbc3e44b01380cf9ef5ac9c0cdeb16802d05a221ac0c86b37c91318811fd20",
+    ("ols-vix", "vix"): "20aad0e9d6fe66b2959855af88b78b88d6770422e72b180e60e8b877e50e8bd7",
+    ("ols-vrp", "vrp"): "82e3d300aee36fdd3d254a1e4bd3b3cbba2837faf42dbdfe3701d4ad1a13e610",
     ("rf", "agg"): "f9efcdff2347339225197913391cdc30d79b57a70ed23618cf65de0508c3c107",
     ("rf", "vix"): "e4675affd149aa99ad5d05e15cc0ec218633b5259bba97c0925f7ab21175cdaa",
 }
-DAILY_METRICS = "53c1afe66eac7d1f33bd4cf4e4e28e62c1c4bb057f86cb1d3d202efec3510994"
-AGGREGATE_REPORT = "1f5bbce3580a4fb313463e9dbed08d6303283b6b84eea9b2ee59704109972cc6"
+DAILY_METRICS = "1c25e0c03fbd30a064aba24a376b06ed72f283d535806ff7245fb0ad7308b663"
+AGGREGATE_REPORT = "d135f9dec74cf96bb76d4f032eb96550fa3114a034a52d1def8fe674ea1701ce"
 TRAIN_WINDOWS = "3e54c9aa818bf15aec97002bcb3c0078cd0ded2668c23baf9679b1f1a35a9c90"
 RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 

@@ -3,6 +3,8 @@
 The schedule oracle is the dict-based scheduler that row ranges replaced.
 The estimation oracle re-runs one OLS window by hand: min/max scaling,
 normal equations, inverse transform, all with plain Python arithmetic.
+The stacking oracle scales, fits and forecasts one window at a time,
+through the per-window triples that one stack per window length replaced.
 """
 
 import dataclasses
@@ -13,12 +15,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from minutecast import marketdata as md
 from minutecast import rolling
-from minutecast.errors import ConfigError, DataError, ParseError
-from minutecast.forest import ForestConfig
-from minutecast.lstm import TrainConfig
+from minutecast.errors import ConfigError, DataError, FitError, NumericError, ParseError
+from minutecast.forest import ForestConfig, rf_fit, rf_predict
+from minutecast.linear import ols_fit, ols_predict
+from minutecast.lstm import TrainConfig, lstm_predict, train_windows
 
 DAY = dt.date(2021, 3, 1)
 
@@ -318,11 +322,16 @@ class TestRunWindow:
             if status == "fallback":
                 assert record.y_hat == record.y_naive
 
-    def test_constant_predictor_falls_back(self):
+    @pytest.mark.parametrize("flat_target", [False, True], ids=["predictor", "and-target"])
+    def test_constant_predictor_falls_back(self, flat_target):
+        # with the target constant too, the target inverts to its constant
+        # whatever the forecast, so only the NaN forecast marks the fallback
         minute = self.minutes()[30]
         flat = day_rows().copy()
         i = row_of(flat, minute)
         flat["vix_lag"][window_start(flat, i):i + 1] = 17.0
+        if flat_target:
+            flat["r5"][window_start(flat, i):i] = 0.001
         record = run_window(flat, minute, rolling.ModelSpec.ols("vix"))
         assert record.status == "fallback"
         assert record.y_hat == record.y_naive
@@ -543,6 +552,61 @@ def oracle_finish(prep, yhat_scaled):
     return y_naive, y_naive, "fallback"
 
 
+def oracle_window_forecasts(spec, windows, seeds):
+    """OLS or RF window by window, as run_day fitted them before stacks.
+
+    Each window is an (x_train, y_train, x_test) triple of scaled arrays.
+    Returns None where a fit fails; OLS is the one-window ols_fit, whose
+    NaN forecast counts as a failed fit.
+    """
+    forecasts = []
+    for (x_train, y_train, x_test), seed in zip(windows, seeds):
+        try:
+            if spec.family is rolling.ModelFamily.OLS_BENCH:
+                forecast = float(ols_predict(ols_fit(x_train, y_train), x_test))
+                forecast = None if math.isnan(forecast) else forecast
+            else:
+                config = dataclasses.replace(spec.forest_config, seed=seed)
+                forecast = rf_predict(rf_fit(x_train, y_train, config), x_test)
+        except (FitError, NumericError):
+            forecast = None
+        forecasts.append(forecast)
+    return forecasts
+
+
+def oracle_lstm_forecasts(spec, windows, seeds):
+    """LSTM: same-length triples regrouped into one batch each, as before stacks.
+
+    None where a window has no more rows than the sequence length, its
+    training diverged, or its forecast is not finite.
+    """
+    config = spec.train_config
+    length = config.sequence_length
+    forecasts = [None] * len(windows)
+    groups: dict = {}
+    for i, (x_train, _, _) in enumerate(windows):
+        if len(x_train) > length:
+            groups.setdefault(len(x_train), []).append(i)
+
+    for _, members in sorted(groups.items()):
+        X = np.stack([
+            sliding_window_view(windows[i][0], length, axis=0).transpose(0, 2, 1)
+            for i in members
+        ])
+        Y = np.stack([sliding_window_view(windows[i][1], length) for i in members])
+        fitted = train_windows(X, Y, config, [seeds[i] for i in members])
+        for i, params in zip(members, fitted):
+            if params is None:
+                continue
+            x_train, _, x_test = windows[i]
+            sequence = np.vstack([x_train[len(x_train) - length + 1:], x_test])
+            try:
+                forecasts[i] = lstm_predict(params, sequence)
+            except NumericError:
+                pass
+    return forecasts
+
+
 def oracle_run(rows, spec, master_seed):
     """(minute, status, repr(y_hat), repr(y_naive)) per window, one window at a time."""
     tests = rolling.schedule_day(rows)
@@ -551,8 +615,8 @@ def oracle_run(rows, spec, master_seed):
     starts = tests - rolling._window_length(minutes[tests])
     prepared = [oracle_prepare(data[s:i], data[i], spec) for s, i in zip(starts, tests)]
     fitted = [(i, prep) for i, (_, prep) in zip(tests, prepared) if prep is not None]
-    forecast = (rolling._lstm_forecasts if spec.family is rolling.ModelFamily.LSTM
-                else rolling._window_forecasts)
+    forecast = (oracle_lstm_forecasts if spec.family is rolling.ModelFamily.LSTM
+                else oracle_window_forecasts)
     forecasts = iter(forecast(
         spec,
         [prep[3:] for _, prep in fitted],
