@@ -17,7 +17,7 @@ from .errors import (
     ShapeError,
 )
 from .forest import Forest, ForestConfig, rf_fit, rf_predict
-from .linear import Benchmark, OlsFit, ols_fit, ols_predict
+from .linear import OlsFit, ols_fit, ols_predict
 from .lstm import GradCheckReport, LstmParams, TrainConfig, gradient_check, lstm_predict, lstm_train
 from .marketdata import (
     FEATURE_DTYPE,
@@ -75,7 +75,6 @@ __all__ = [
     "fit_minmax",
     "transform",
     "inverse_transform_target",
-    "Benchmark",
     "OlsFit",
     "ols_fit",
     "ols_predict",

@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, DataError, NumericError
 from .forest import ForestConfig
-from .linear import Benchmark
 from .lstm import TrainConfig, gradient_check
 from .marketdata import (
     CSV_HEADER,
@@ -45,7 +44,7 @@ from .metrics import (
     write_aggregate_report,
     write_daily_metrics,
 )
-from .rolling import ModelSpec, read_store, run_sample, write_store
+from .rolling import OLS_BENCHMARKS, ModelSpec, read_store, run_sample, write_store
 
 __all__ = ["RunConfig", "main", "build_roster", "load_run_config"]
 
@@ -119,56 +118,40 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _to_int(text: str) -> int:
-    return int(text)
-
-
 def _to_optional_int(text: str) -> Optional[int]:
     return None if text == "" else int(text)
-
-
-def _to_float(text: str) -> float:
-    return float(text)
-
-
-def _to_date(text: str) -> dt.date:
-    return dt.date.fromisoformat(text)
 
 
 def _to_list(text: str) -> Tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
-def _to_str(text: str) -> str:
-    return text
-
-
 _CONFIG_SCHEMA = {
-    "input": _to_str,
-    "synth_days": _to_int,
-    "start_date": _to_date,
-    "end_date": _to_date,
-    "seed": _to_int,
-    "workers": _to_int,
-    "out": _to_str,
+    "input": str,
+    "synth_days": int,
+    "start_date": dt.date.fromisoformat,
+    "end_date": dt.date.fromisoformat,
+    "seed": int,
+    "workers": int,
+    "out": str,
     "models": _to_list,
     "predictors": _to_list,
-    "lstm_hidden_dim": _to_int,
-    "lstm_epochs": _to_int,
-    "lstm_learning_rate": _to_float,
-    "lstm_sequence_length": _to_int,
-    "lstm_clip_norm": _to_float,
-    "lstm_init_scale": _to_float,
-    "rf_trees": _to_int,
-    "rf_min_leaf": _to_int,
+    "lstm_hidden_dim": int,
+    "lstm_epochs": int,
+    "lstm_learning_rate": float,
+    "lstm_sequence_length": int,
+    "lstm_clip_norm": float,
+    "lstm_init_scale": float,
+    "rf_trees": int,
+    "rf_min_leaf": int,
     "rf_max_features": _to_optional_int,
-    "rf_block_length": _to_int,
-    "rf_feature_mode": _to_str,
-    "synth_return_vol": _to_float,
-    "synth_vix_mean": _to_float,
-    "synth_vix_vol": _to_float,
-    "synth_vix_persistence": _to_float,
-    "synth_leverage_corr": _to_float,
+    "rf_block_length": int,
+    "rf_feature_mode": str,
+    "synth_return_vol": float,
+    "synth_vix_mean": float,
+    "synth_vix_vol": float,
+    "synth_vix_persistence": float,
+    "synth_leverage_corr": float,
 }
 
 assert set(_CONFIG_SCHEMA) == {f.name for f in fields(RunConfig)}
@@ -230,7 +213,7 @@ def build_roster(config: RunConfig) -> list:
         if model_id == "naive":
             roster.append(ModelSpec.naive())
         elif model_id == "ols":
-            roster.extend(ModelSpec.ols(bench) for bench in Benchmark)
+            roster.extend(ModelSpec.ols(bench) for bench in OLS_BENCHMARKS)
         elif model_id.startswith("ols-"):
             roster.append(ModelSpec.ols(model_id[len("ols-"):]))
         elif model_id == "lstm":
@@ -350,10 +333,8 @@ def cmd_report(store_path: str, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(instances: int, seed: int, eps: float, tol: float, corrupt: bool) -> int:
-    report = gradient_check(
-        n_instances=instances, seed=seed, epsilon=eps, tolerance=tol, corrupt=corrupt
-    )
+def cmd_gradcheck(instances: int, seed: int, eps: float, tol: float) -> int:
+    report = gradient_check(n_instances=instances, seed=seed, epsilon=eps, tolerance=tol)
     for n, d, length, err in report.instances:
         print(f"n={n} d={d} L={length} max_rel_err={err:.3e}")
     verdict = "PASS" if report.passed else "FAIL"
@@ -374,8 +355,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic minute-bar CSV")
     synth.add_argument("--config", help="key = value config file")
-    synth.add_argument("--out", default="synthetic_bars.csv", help="output CSV path")
-    synth.add_argument("--days", type=int, help="number of days (overrides synth_days)")
+    # the bar CSV is not the run's `out` directory, so its dest is no config key
+    synth.add_argument(
+        "--out", dest="bars_out", metavar="OUT", default="synthetic_bars.csv",
+        help="output CSV path",
+    )
+    synth.add_argument(
+        "--days", dest="synth_days", metavar="DAYS", type=int,
+        help="number of days (overrides synth_days)",
+    )
     synth.add_argument("--seed", type=int, help="generator seed")
 
     validate = sub.add_parser("validate", help="diagnose a minute-bar CSV")
@@ -386,8 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, help="master seed")
     run.add_argument("--workers", type=int, help="parallel day workers")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--models", help="comma list, e.g. naive,ols-vix,lstm,rf")
-    run.add_argument("--predictors", help="comma list for lstm/rf: vix,ar1,agg")
+    run.add_argument("--models", type=_to_list, help="comma list, e.g. naive,ols-vix,lstm,rf")
+    run.add_argument("--predictors", type=_to_list, help="comma list for lstm/rf: vix,ar1,agg")
 
     report = sub.add_parser("report", help="re-aggregate an existing prediction store")
     report.add_argument("store", help="predictions.csv produced by run")
@@ -398,44 +386,25 @@ def _build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--seed", type=int, default=20240210)
     grad.add_argument("--eps", type=float, default=1e-5)
     grad.add_argument("--tol", type=float, default=1e-4)
-    grad.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     return parser
 
 
-def _run_overrides(args) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "models", None) is not None:
-        overrides["models"] = _to_list(args.models)
-    if getattr(args, "predictors", None) is not None:
-        overrides["predictors"] = _to_list(args.predictors)
-    if getattr(args, "out", None) is not None and args.command == "run":
-        overrides["out"] = args.out
-    return overrides
-
-
 def _dispatch(args) -> int:
-    if args.command == "synth":
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.days is not None:
-            overrides["synth_days"] = args.days
-        config = load_run_config(args.config, overrides)
-        return cmd_synth(config, args.out)
     if args.command == "validate":
         return cmd_validate(args.path)
-    if args.command == "run":
-        config = load_run_config(args.config, _run_overrides(args))
-        return cmd_run(config)
     if args.command == "report":
         return cmd_report(args.store, args.out)
     if args.command == "gradcheck":
-        return cmd_gradcheck(args.instances, args.seed, args.eps, args.tol, args.corrupt)
-    raise ConfigError(f"unknown command: {args.command!r}")  # unreachable
+        return cmd_gradcheck(args.instances, args.seed, args.eps, args.tol)
+    # a flag whose dest names a config key overrides that key
+    overrides = {
+        key: value for key, value in vars(args).items()
+        if key in _CONFIG_SCHEMA and value is not None
+    }
+    config = load_run_config(args.config, overrides)
+    if args.command == "synth":
+        return cmd_synth(config, args.bars_out)
+    return cmd_run(config)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -14,56 +14,13 @@ is the only singular case, because a non-constant column then holds both
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError, FitError, ShapeError
+from .errors import FitError, ShapeError
 
-__all__ = [
-    "Benchmark",
-    "OlsFit",
-    "ols_fit",
-    "ols_predict",
-]
-
-
-class Benchmark(enum.Enum):
-    """The five single-regressor benchmark specifications."""
-
-    AR1 = "ar1"
-    RV = "rv"
-    VIX = "vix"
-    DVIX = "dvix"
-    VRP = "vrp"
-
-    @property
-    def feature_name(self) -> str:
-        """Name of the feature-table column this benchmark regresses on."""
-        return _PREDICTOR_COLUMN[self]
-
-    @classmethod
-    def coerce(cls, which: Union["Benchmark", str]) -> "Benchmark":
-        """Accept either a member or its string id; reject anything else."""
-        if isinstance(which, cls):
-            return which
-        if isinstance(which, str):
-            try:
-                return cls(which.lower())
-            except ValueError:
-                pass
-        raise ConfigError(f"unknown benchmark id: {which!r}")
-
-
-_PREDICTOR_COLUMN = {
-    Benchmark.AR1: "lag_r5",
-    Benchmark.RV: "lag_r5_sq",
-    Benchmark.VIX: "vix_lag",
-    Benchmark.DVIX: "dvix_lag",
-    Benchmark.VRP: "vrp_lag",
-}
+__all__ = ["OlsFit", "ols_fit", "ols_predict"]
 
 
 @dataclass(frozen=True)

@@ -473,22 +473,19 @@ def gradient_check(
     seed: int = 20240210,
     epsilon: float = 1e-5,
     tolerance: float = 1e-4,
-    corrupt: bool = False,
 ) -> GradCheckReport:
     """Compare the kernel's analytic gradient with central finite differences.
 
     Draws random small instances (n <= 4, d <= 6, L <= 8) and reports the
     worst relative error per instance.  The denominator is floored at
     1e-6 so near-zero true gradients do not turn finite-difference noise
-    into spurious failures.  `corrupt` deliberately perturbs one analytic
-    gradient entry; it exists so the checker itself can be shown to catch
-    a broken backward pass.
+    into spurious failures.
     """
     if n_instances < 1:
         raise ConfigError("n_instances must be >= 1")
     rng = np.random.default_rng(seed)
     records = []
-    for idx in range(n_instances):
+    for _ in range(n_instances):
         n = int(rng.integers(1, 5))
         d = int(rng.integers(1, 7))
         L = int(rng.integers(1, 9))
@@ -506,8 +503,6 @@ def gradient_check(
         _forward(ws, *_batched(params))
         grads = _backward(ws, y[:, None, None], params.w_h[None], params.w_y[None])
         analytic = np.concatenate([g.ravel() for g in grads])
-        if corrupt and idx == 0:
-            analytic[0] += 1e-3
 
         def loss(vec):
             yhat = _forward(ws, *_batched(unflatten_params(vec, n, d)))

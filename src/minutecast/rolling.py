@@ -20,14 +20,14 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, FitError, NumericError, ParseError
 from .forest import ForestConfig, rf_fit, rf_predict
-from .linear import Benchmark, ols_fit, ols_predict
+from .linear import ols_fit, ols_predict
 # perfbench/trace.py wraps lstm_train and lstm_predict here by name, so both stay imported
 from .lstm import TrainConfig, lstm_predict, lstm_train, train_windows
 from .marketdata import (
@@ -47,7 +47,9 @@ __all__ = [
     "STATUS_FALLBACK",
     "STATUS_SKIPPED",
     "STORE_COLUMNS",
-    "PredictorSet",
+    "PREDICTOR_COLUMNS",
+    "OLS_BENCHMARKS",
+    "PREDICTOR_SETS",
     "ModelFamily",
     "ModelSpec",
     "PredictionRecord",
@@ -83,34 +85,19 @@ STATUS_SKIPPED = "skipped"
 _STATUSES = (STATUS_OK, STATUS_FALLBACK, STATUS_SKIPPED)
 
 
-class PredictorSet(enum.Enum):
-    """Which feature columns a window model trains on."""
-
-    VIX = "vix"
-    AR1 = "ar1"
-    AGG = "agg"
-
-    @property
-    def columns(self) -> Tuple[str, ...]:
-        return _PREDICTOR_SET_COLUMNS[self]
-
-    @classmethod
-    def coerce(cls, value) -> "PredictorSet":
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            try:
-                return cls(value.lower())
-            except ValueError:
-                pass
-        raise ConfigError(f"unknown predictor set id: {value!r}")
-
-
-_PREDICTOR_SET_COLUMNS = {
-    PredictorSet.VIX: ("vix_lag",),
-    PredictorSet.AR1: ("lag_r5",),
-    PredictorSet.AGG: ("lag_r5", "lag_r5_sq", "vix_lag", "dvix_lag", "vrp_lag"),
+# The feature columns behind each predictor id: the five OLS benchmarks each
+# regress on one lagged variable, and LSTM and RF read VIX, the lagged return
+# or all five.
+PREDICTOR_COLUMNS = {
+    "ar1": ("lag_r5",),
+    "rv": ("lag_r5_sq",),
+    "vix": ("vix_lag",),
+    "dvix": ("dvix_lag",),
+    "vrp": ("vrp_lag",),
+    "agg": ("lag_r5", "lag_r5_sq", "vix_lag", "dvix_lag", "vrp_lag"),
 }
+OLS_BENCHMARKS = ("ar1", "rv", "vix", "dvix", "vrp")  # the roster order of `ols`
+PREDICTOR_SETS = ("vix", "ar1", "agg")
 
 
 class ModelFamily(enum.Enum):
@@ -120,87 +107,61 @@ class ModelFamily(enum.Enum):
     RF = "rf"
 
 
+# per family: the predictor ids it accepts and the type of its config
+_FAMILY_RULES = {
+    ModelFamily.NAIVE: (("none",), type(None)),
+    ModelFamily.OLS_BENCH: (OLS_BENCHMARKS, type(None)),
+    ModelFamily.LSTM: (PREDICTOR_SETS, TrainConfig),
+    ModelFamily.RF: (PREDICTOR_SETS, ForestConfig),
+}
+
+
+def _lower(value):
+    return value.lower() if isinstance(value, str) else value
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """One fully configured window estimator.
+    """One fully configured window estimator: family, predictor id and config.
 
-    Use the factory classmethods; the raw constructor demands exactly the
-    fields the family needs and rejects the rest.
+    Use the factory classmethods; the raw constructor rejects a predictor id
+    the family does not accept and a config of the wrong type for it.
     """
 
     family: ModelFamily
-    benchmark: Optional[Benchmark] = None
-    predictor_set: Optional[PredictorSet] = None
-    train_config: Optional[TrainConfig] = None
-    forest_config: Optional[ForestConfig] = None
+    predictor_set_id: str = "none"
+    config: Union[TrainConfig, ForestConfig, None] = None
 
     def __post_init__(self):
         if not isinstance(self.family, ModelFamily):
             raise ConfigError(f"unknown model family: {self.family!r}")
-        if self.family is ModelFamily.OLS_BENCH:
-            if self.benchmark is None:
-                raise ConfigError("an OLS benchmark spec needs a benchmark id")
-        elif self.benchmark is not None:
-            raise ConfigError("benchmark only applies to OLS benchmark specs")
-        if self.family in (ModelFamily.LSTM, ModelFamily.RF):
-            if self.predictor_set is None:
-                raise ConfigError(
-                    f"{self.family.value} spec needs a predictor set"
-                )
-        elif self.predictor_set is not None:
-            raise ConfigError(
-                "predictor sets are fixed by definition for naive and OLS specs"
-            )
-        if self.family is ModelFamily.LSTM:
-            if self.train_config is None:
-                raise ConfigError("an LSTM spec needs a train config")
-        elif self.train_config is not None:
-            raise ConfigError("train_config only applies to LSTM specs")
-        if self.family is ModelFamily.RF:
-            if self.forest_config is None:
-                raise ConfigError("an RF spec needs a forest config")
-        elif self.forest_config is not None:
-            raise ConfigError("forest_config only applies to RF specs")
+        ids, config_type = _FAMILY_RULES[self.family]
+        if self.predictor_set_id not in ids:
+            raise ConfigError(f"unknown {self.family.value} predictor id: {self.predictor_set_id!r}")
+        if not isinstance(self.config, config_type):
+            raise ConfigError(f"{self.family.value} spec cannot take a {type(self.config).__name__} config")
 
     @classmethod
     def naive(cls) -> "ModelSpec":
-        return cls(family=ModelFamily.NAIVE)
+        return cls(ModelFamily.NAIVE)
 
     @classmethod
     def ols(cls, which) -> "ModelSpec":
-        return cls(family=ModelFamily.OLS_BENCH, benchmark=Benchmark.coerce(which))
+        return cls(ModelFamily.OLS_BENCH, _lower(which))
 
     @classmethod
     def lstm(cls, predictors="vix", config: Optional[TrainConfig] = None) -> "ModelSpec":
-        return cls(
-            family=ModelFamily.LSTM,
-            predictor_set=PredictorSet.coerce(predictors),
-            train_config=config if config is not None else TrainConfig(),
-        )
+        return cls(ModelFamily.LSTM, _lower(predictors), config or TrainConfig())
 
     @classmethod
     def rf(cls, predictors="agg", config: Optional[ForestConfig] = None) -> "ModelSpec":
-        return cls(
-            family=ModelFamily.RF,
-            predictor_set=PredictorSet.coerce(predictors),
-            forest_config=config if config is not None else ForestConfig(),
-        )
+        return cls(ModelFamily.RF, _lower(predictors), config or ForestConfig())
 
     @property
     def model_id(self) -> str:
-        if self.family is ModelFamily.NAIVE:
-            return "naive"
         if self.family is ModelFamily.OLS_BENCH:
-            return f"ols-{self.benchmark.value}"
+            return f"ols-{self.predictor_set_id}"
         return self.family.value
-
-    @property
-    def predictor_set_id(self) -> str:
-        if self.family is ModelFamily.NAIVE:
-            return "none"
-        if self.family is ModelFamily.OLS_BENCH:
-            return self.benchmark.value
-        return self.predictor_set.value
 
     @property
     def key(self) -> str:
@@ -209,11 +170,7 @@ class ModelSpec:
 
     @property
     def feature_columns(self) -> Tuple[str, ...]:
-        if self.family is ModelFamily.NAIVE:
-            return ()
-        if self.family is ModelFamily.OLS_BENCH:
-            return (self.benchmark.feature_name,)
-        return self.predictor_set.columns
+        return PREDICTOR_COLUMNS.get(self.predictor_set_id, ())
 
 
 @dataclass(frozen=True)
@@ -289,7 +246,7 @@ def _rf_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
     """RF: one forest per window, grown from its own seed; NaN where a fit fails."""
     forecasts = np.full(len(X), math.nan)
     for j, seed in enumerate(seeds):
-        config = replace(spec.forest_config, seed=seed)
+        config = replace(spec.config, seed=seed)
         try:
             forecasts[j] = rf_predict(rf_fit(X[j], y[j], config), x_test[j])
         except (FitError, NumericError):
@@ -306,7 +263,7 @@ def _lstm_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
     training subsequence, when its training diverged, or when its forecast
     is not finite.
     """
-    config = spec.train_config
+    config = spec.config
     length = config.sequence_length
     W, n, _ = X.shape
     forecasts = np.full(W, math.nan)

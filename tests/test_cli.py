@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import minutecast
-from minutecast import cli
+from minutecast import cli, lstm
 from minutecast.errors import ConfigError, DataError
+from minutecast.forest import ForestConfig
+from minutecast.lstm import TrainConfig
+from minutecast.marketdata import SynthParams
 from minutecast.marketdata import load_minute_bars, minute_to_time
 from minutecast.rolling import read_store
 
@@ -106,6 +109,26 @@ class TestConfigParsing:
     def test_build_roster_rejects_unknown_model(self):
         with pytest.raises(ConfigError):
             cli.build_roster(cli.RunConfig(models=("garch",)))
+
+    def test_restated_defaults_agree(self):
+        # RunConfig restates the defaults of TrainConfig, ForestConfig and SynthParams
+        roster = cli.build_roster(cli.RunConfig(models=("lstm", "rf")))
+        assert [spec.config for spec in roster] == [TrainConfig(), ForestConfig()]
+        assert cli.RunConfig(synth_days=3).synth_params() == SynthParams(n_days=3, seed=0)
+
+    def test_flags_land_on_config_keys(self, monkeypatch):
+        seen = {}
+        monkeypatch.setattr(cli, "cmd_run", lambda config: seen.update(run=config) or 0)
+        monkeypatch.setattr(
+            cli, "cmd_synth", lambda config, out: seen.update(synth=(config, out)) or 0
+        )
+        assert cli.main(["run", "--seed", "3", "--workers", "2", "--out", "o",
+                         "--models", "a,b", "--predictors", "c, d"]) == 0
+        assert seen["run"] == cli.RunConfig(
+            seed=3, workers=2, out="o", models=("a", "b"), predictors=("c", "d")
+        )
+        assert cli.main(["synth", "--days", "4", "--seed", "5", "--out", "bars.csv"]) == 0
+        assert seen["synth"] == (cli.RunConfig(synth_days=4, seed=5), "bars.csv")
 
 
 class TestSynth:
@@ -456,8 +479,15 @@ class TestGradcheck:
         assert "PASS" in output
         assert output.count("max_rel_err") == 5
 
-    def test_corrupt_fails(self, capsys):
-        assert cli.main(["gradcheck", "--instances", "3", "--corrupt"]) == 4
+    def test_corrupt_fails(self, capsys, monkeypatch):
+        backward = lstm._backward
+
+        def faulty(*args):
+            g_wx, *rest = backward(*args)
+            return (g_wx + 1e-3, *rest)
+
+        monkeypatch.setattr(lstm, "_backward", faulty)
+        assert cli.main(["gradcheck", "--instances", "3"]) == 4
         assert "FAIL" in capsys.readouterr().out
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from minutecast import linear, marketdata, scaling
+from minutecast import linear, marketdata, rolling, scaling
 from minutecast.errors import ConfigError, FitError, ShapeError
 
 
@@ -178,7 +178,7 @@ class TestOlsPredict:
 
 def benchmark_design(rows, which):
     """(X, y) for one benchmark: its lagged predictor column and the r5 target."""
-    column = linear.Benchmark.coerce(which).feature_name
+    (column,) = rolling.PREDICTOR_COLUMNS[which]
     return rows[column][:, None].astype(float), rows["r5"].astype(float)
 
 
@@ -191,7 +191,7 @@ def _feature_rows_for_tests():
 class TestBenchmarkDesign:
     def test_vix_selects_vix_lag_column(self):
         rows = _feature_rows_for_tests()
-        X, y = benchmark_design(rows, linear.Benchmark.VIX)
+        X, y = benchmark_design(rows, "vix")
         assert X.shape == (len(rows), 1)
         np.testing.assert_array_equal(X[:, 0], rows["vix_lag"])
         np.testing.assert_array_equal(y, rows["r5"])
@@ -205,7 +205,7 @@ class TestBenchmarkDesign:
     def test_all_five_share_the_target(self):
         rows = _feature_rows_for_tests()
         targets = []
-        for bench in linear.Benchmark:
+        for bench in rolling.OLS_BENCHMARKS:
             _, y = benchmark_design(rows, bench)
             targets.append(y)
         for y in targets[1:]:
@@ -225,13 +225,13 @@ class TestBenchmarkDesign:
             np.testing.assert_array_equal(X[:, 0], rows[attr])
 
     def test_unknown_id_rejected(self):
-        rows = _feature_rows_for_tests()
         with pytest.raises(ConfigError):
-            benchmark_design(rows, "garch")
+            rolling.ModelSpec.ols("garch")
         with pytest.raises(ConfigError):
-            linear.Benchmark.coerce(3)
+            rolling.ModelSpec.ols(3)
 
     def test_string_coercion_case_insensitive(self):
-        assert linear.Benchmark.coerce("VIX") is linear.Benchmark.VIX
-        assert linear.Benchmark.coerce("dvix") is linear.Benchmark.DVIX
-        assert linear.Benchmark.coerce(linear.Benchmark.AR1) is linear.Benchmark.AR1
+        assert rolling.ModelSpec.ols("VIX") == rolling.ModelSpec.ols("vix")
+        assert rolling.ModelSpec.ols("VIX").feature_columns == ("vix_lag",)
+        assert rolling.ModelSpec.ols("dvix").predictor_set_id == "dvix"
+        assert rolling.ModelSpec.ols("Ar1").key == "ols-ar1:ar1"

@@ -374,8 +374,15 @@ class TestGradientCheck:
         for n, d, L, err in report.instances:
             assert 1 <= n <= 4 and 1 <= d <= 6 and 1 <= L <= 8
 
-    def test_corruption_is_caught(self):
-        report = lstm.gradient_check(n_instances=2, seed=11, corrupt=True)
+    def test_corruption_is_caught(self, monkeypatch):
+        backward = lstm._backward
+
+        def faulty(*args):
+            g_wx, *rest = backward(*args)
+            return (g_wx + 1e-3, *rest)
+
+        monkeypatch.setattr(lstm, "_backward", faulty)
+        report = lstm.gradient_check(n_instances=2, seed=11)
         assert not report.passed
 
     def test_checks_the_training_backward_pass(self, monkeypatch):

@@ -187,24 +187,30 @@ class TestModelSpec:
         )
 
     def test_constructor_rejects_mismatched_fields(self):
-        with pytest.raises(ConfigError):
-            rolling.ModelSpec(family=rolling.ModelFamily.NAIVE,
-                              predictor_set=rolling.PredictorSet.VIX)
-        with pytest.raises(ConfigError):
-            rolling.ModelSpec(family=rolling.ModelFamily.OLS_BENCH)
-        with pytest.raises(ConfigError):
-            rolling.ModelSpec(family=rolling.ModelFamily.LSTM,
-                              predictor_set=rolling.PredictorSet.VIX)
-        with pytest.raises(ConfigError):
-            rolling.ModelSpec(family=rolling.ModelFamily.NAIVE, train_config=TrainConfig())
-        with pytest.raises(ConfigError):
-            rolling.ModelSpec.lstm("nope")
+        family = rolling.ModelFamily
+        rejected = [
+            lambda: rolling.ModelSpec(family.NAIVE, "vix"),
+            lambda: rolling.ModelSpec(family.OLS_BENCH, "agg"),
+            lambda: rolling.ModelSpec(family.OLS_BENCH),
+            lambda: rolling.ModelSpec(family.LSTM, "vix"),
+            lambda: rolling.ModelSpec(family.RF, "agg", TrainConfig()),
+            lambda: rolling.ModelSpec(family.NAIVE, config=TrainConfig()),
+            lambda: rolling.ModelSpec("lstm", "vix", TrainConfig()),
+            lambda: rolling.ModelSpec.lstm("nope"),
+            lambda: rolling.ModelSpec.lstm("all"),
+            lambda: rolling.ModelSpec.rf("rv"),
+        ]
+        for make in rejected:
+            with pytest.raises(ConfigError):
+                make()
 
     def test_predictor_set_coercion(self):
-        assert rolling.PredictorSet.coerce("VIX") is rolling.PredictorSet.VIX
-        assert rolling.PredictorSet.coerce(rolling.PredictorSet.AGG) is rolling.PredictorSet.AGG
+        # ids match case-insensitively
+        assert rolling.ModelSpec.lstm("VIX") == rolling.ModelSpec.lstm("vix")
+        assert rolling.ModelSpec.rf("AGG").key == "rf:agg"
+        assert rolling.ModelSpec.ols("Dvix").model_id == "ols-dvix"
         with pytest.raises(ConfigError):
-            rolling.PredictorSet.coerce("all")
+            rolling.ModelSpec.rf("all")
 
 
 class TestDeriveSeed:
@@ -566,7 +572,7 @@ def oracle_window_forecasts(spec, windows, seeds):
                 forecast = float(ols_predict(ols_fit(x_train, y_train), x_test))
                 forecast = None if math.isnan(forecast) else forecast
             else:
-                config = dataclasses.replace(spec.forest_config, seed=seed)
+                config = dataclasses.replace(spec.config, seed=seed)
                 forecast = rf_predict(rf_fit(x_train, y_train, config), x_test)
         except (FitError, NumericError):
             forecast = None
@@ -580,7 +586,7 @@ def oracle_lstm_forecasts(spec, windows, seeds):
     None where a window has no more rows than the sequence length, its
     training diverged, or its forecast is not finite.
     """
-    config = spec.train_config
+    config = spec.config
     length = config.sequence_length
     forecasts = [None] * len(windows)
     groups: dict = {}
