@@ -11,11 +11,21 @@ order forget, input, output, candidate.
 There is one BPTT kernel, :func:`_forward` and :func:`_backward`, over a
 batch of W windows with S subsequences of L steps each.  Training
 (:func:`train_windows`, and :func:`lstm_train` for one window),
-prediction (:func:`lstm_predict`) and the finite-difference check
-(:func:`gradient_check`) all run through it, the last two with W = S = 1,
-so the gradient that is checked is the gradient that trains.
+prediction (:func:`predict_windows`, and :func:`lstm_predict` for one
+window) and the finite-difference check (:func:`gradient_check`) all run
+through it, prediction with S = 1 and the check with W = S = 1, so the
+gradient that is checked is the gradient that trains.
 The sigmoid gates are ``0.5 * tanh(0.5 * z) + 0.5``, which cannot
 overflow, and a window that diverges is masked inside its batch.
+
+Windows of different lengths share one batch: every window carries the
+same S subsequences, and a boolean mask marks the ones that count.  A
+masked subsequence's output gradient is set to exact zeros, so it adds
+exact zeros to every parameter gradient and whatever its inputs hold
+cannot reach the parameters.  :func:`train_windows` runs its windows in
+chunks of TRAIN_CHUNK_WINDOWS; no arithmetic of one window depends on
+the others in its batch, so a window's parameters are bit for bit the
+same in any chunk, alone included.
 """
 
 from __future__ import annotations
@@ -29,6 +39,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FitError, NumericError, ShapeError
 
+# Windows per kernel batch in train_windows.  Smaller batches keep the
+# per-step slabs in cache; larger ones pay the per-step Python overhead
+# fewer times.  Picked by timing full 340-window model-days.
+TRAIN_CHUNK_WINDOWS = 64
+
 __all__ = [
     "GradCheckReport",
     "LstmParams",
@@ -38,6 +53,7 @@ __all__ = [
     "lstm_loss",
     "lstm_predict",
     "lstm_train",
+    "predict_windows",
     "train_windows",
     "unflatten_params",
 ]
@@ -259,11 +275,14 @@ def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
     return Yhat
 
 
-def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
+def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y, dead=None):
     """Gradients of the last :func:`_forward` against step-major targets YL.
 
     YL has shape (L, W, S).  Per window, the gradient is the sum over its
     S subsequences of each one's per-step mean-squared-error gradient.
+    ``dead``, a (W, S) boolean array or None, marks subsequences that do
+    not count: their output gradient is exactly zero, so every gradient
+    term they feed is an exact zero.
     Returns (g_wx, g_wh, g_b, g_wy, g_by), batched like the parameters;
     the weight gradients are workspace buffers, overwritten by the next
     call.
@@ -276,6 +295,8 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
     gx_tmp, gh_tmp, gy_tmp = ws.gx_tmp, ws.gh_tmp, ws.gy_tmp
     np.subtract(ws.Yhat, YL, out=dY)
     dY *= 2.0 / L
+    if dead is not None:
+        np.copyto(dY, 0.0, where=dead)
     dh_carry[:] = 0.0
     dc_carry[:] = 0.0
     g_wx[:] = 0.0
@@ -311,32 +332,41 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y):
         np.multiply(t1, F[j], out=dc_carry)
 
     g_b = DZ.sum(axis=(0, 2))
-    g_by = dY.sum(axis=(0, 2))
+    # step by step: with W = 1, dY.sum(axis=(0, 2)) would sum in another order
+    g_by = np.add.accumulate(dY.sum(axis=2), axis=0)[-1]
     return g_wx, g_wh, g_b, g_wy, g_by
 
 
-def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[Optional[LstmParams]]:
+def train_windows(
+    X, Y, config: TrainConfig, seeds: Sequence[int], *, mask=None
+) -> List[Optional[LstmParams]]:
     """Train one independent LSTM per window, all at once.
 
     X has shape (W, S, L, n): W windows, each contributing S overlapping
     length-L subsequences of n-dimensional scaled feature vectors.  Y has
-    shape (W, S, L) holding the scaled per-step targets.  Window w is
-    initialized from seeds[w] and optimized exactly as a solo run would
-    be; batching only rearranges the arithmetic.  Per window and epoch
-    the gradient is the sum over the S subsequences of each one's
-    per-step mean-squared-error gradient, rescaled to clip_norm whenever
-    its global norm exceeds it, then applied as one descent step.
+    shape (W, S, L) holding the scaled per-step targets.  ``mask``, a
+    (W, S) boolean array that defaults to all true, marks the
+    subsequences that count; the others add exact zeros to every
+    gradient, so windows of different lengths can share one batch.
+    Window w is initialized from seeds[w] and optimized exactly as a solo
+    run would be; the windows run in chunks of TRAIN_CHUNK_WINDOWS, and
+    neither chunking nor batching changes a bit of the result.  Per
+    window and epoch the gradient is the sum over the counted
+    subsequences of each one's per-step mean-squared-error gradient,
+    rescaled to clip_norm whenever its global norm exceeds it, then
+    applied as one descent step.
     Summing rather than averaging over subsequences keeps the raw norm
     well above clip_norm on real windows, so the clip is what sets the
     step size and the defaults train at constant speed instead of
     stalling on the small-gradient plateau near initialization.
 
-    A window diverges when an epoch's forecasts or gradient norm, or its
-    final parameters, are not all finite.  From then on it takes no
-    steps, and the other windows of the batch are unaffected.
+    A window diverges when an epoch's forecasts, on every subsequence
+    whether counted or not, or its gradient norm, or its final
+    parameters, are not all finite.  From then on it takes no steps, and
+    the other windows of the batch are unaffected.
 
     Returns one fitted LstmParams per window, in input order, and None
-    for a window that diverged.
+    for a window that diverged or has no counted subsequence.
     """
     X = np.ascontiguousarray(np.asarray(X, dtype=float))
     Y = np.ascontiguousarray(np.asarray(Y, dtype=float))
@@ -347,6 +377,9 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[Optio
     W, S, L, n = X.shape
     if L != config.sequence_length:
         raise ShapeError(f"subsequence length {L} != configured {config.sequence_length}")
+    mask = np.ones((W, S), dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if mask.shape != (W, S):
+        raise ShapeError(f"mask shape {mask.shape} does not match {(W, S)} subsequences")
     if W == 0:
         return []
     if S < 1:
@@ -356,6 +389,16 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[Optio
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise FitError("non-finite values in training data")
 
+    fitted: List[Optional[LstmParams]] = []
+    for start in range(0, W, TRAIN_CHUNK_WINDOWS):
+        chunk = slice(start, start + TRAIN_CHUNK_WINDOWS)
+        fitted.extend(_train_chunk(X[chunk], Y[chunk], ~mask[chunk], config, seeds[chunk]))
+    return fitted
+
+
+def _train_chunk(X, Y, dead, config: TrainConfig, seeds) -> List[Optional[LstmParams]]:
+    """:func:`train_windows` on one kernel batch; ``dead`` is the negated mask."""
+    W, S, L, n = X.shape
     d = config.hidden_dim
     H4 = 4 * d
     lr = config.learning_rate
@@ -374,11 +417,12 @@ def train_windows(X, Y, config: TrainConfig, seeds: Sequence[int]) -> List[Optio
 
     ws = _Workspace(X, d)
     YL = np.ascontiguousarray(Y.transpose(2, 0, 1))
-    alive = np.ones(W, dtype=bool)
+    # a window with nothing to learn from must not come back as its init
+    alive = ~dead.all(axis=1)
     for _ in range(config.epochs):
         Yhat = _forward(ws, *params)
         alive &= np.isfinite(Yhat).all(axis=(0, 2))
-        grads = _backward(ws, YL, w_h, w_y)
+        grads = _backward(ws, YL, w_h, w_y, dead)
 
         sq = sum((g * g).reshape(W, -1).sum(axis=1) for g in grads)
         alive &= np.isfinite(sq)
@@ -430,25 +474,60 @@ def _batched(params: LstmParams):
 
 def _sequence_workspace(params: LstmParams, sequence) -> _Workspace:
     """A kernel workspace for one (L, n) sequence: W = S = 1."""
-    x_seq = np.asarray(sequence, dtype=float)
-    if x_seq.ndim != 2 or x_seq.shape[1] != params.n:
-        raise ShapeError(f"sequence must be (L, {params.n}), got {x_seq.shape}")
-    if x_seq.shape[0] < 1:
+    x_seq = _check_sequences(np.asarray(sequence, dtype=float)[None], params.n)
+    return _Workspace(x_seq[:, None], params.d)
+
+
+def _check_sequences(sequences, n: int) -> np.ndarray:
+    """Validated (W, L, n) float sequences, contiguous."""
+    x_seq = np.ascontiguousarray(np.asarray(sequences, dtype=float))
+    if x_seq.ndim != 3 or x_seq.shape[2] != n:
+        raise ShapeError(f"sequences must be (W, L, {n}), got {x_seq.shape}")
+    if x_seq.shape[1] < 1:
         raise ShapeError("sequence must have at least one step")
-    return _Workspace(np.ascontiguousarray(x_seq[None, None]), params.d)
+    return x_seq
+
+
+def predict_windows(fitted: Sequence[Optional[LstmParams]], sequences) -> np.ndarray:
+    """Forecast every window in one forward pass over the kernel.
+
+    ``sequences`` has shape (W, L, n): window w's L most recent feature
+    vectors, run from zero state through fitted[w].  Returns the (W,)
+    predictions at the last step, bit for bit what :func:`lstm_predict`
+    gives each window, and NaN for a window whose parameters are None or
+    whose outputs are not all finite.
+    """
+    forecasts = np.full(len(fitted), math.nan)
+    live = [w for w, params in enumerate(fitted) if params is not None]
+    if not live:
+        return forecasts
+    first = fitted[live[0]]
+    x_seq = _check_sequences(sequences, first.n)
+    if x_seq.shape[0] != len(fitted):
+        raise ShapeError(f"{len(fitted)} windows but {x_seq.shape[0]} sequences")
+    ws = _Workspace(np.ascontiguousarray(x_seq[live][:, None]), first.d)
+    batch = [fitted[w] for w in live]
+    yhat = _forward(
+        ws,
+        np.stack([p.w_x for p in batch]), np.stack([p.w_h for p in batch]),
+        np.stack([p.b for p in batch]), np.stack([p.w_y for p in batch]),
+        np.array([p.b_y for p in batch]),
+    )[:, :, 0]
+    forecasts[live] = np.where(np.isfinite(yhat).all(axis=0), yhat[-1], math.nan)
+    return forecasts
 
 
 def lstm_predict(params: LstmParams, sequence) -> float:
     """Run the cell from zero state over the most recent L feature vectors.
 
     Returns the prediction at the last step.  State always starts at zero:
-    windows are independent and nothing leaks between them.
+    windows are independent and nothing leaks between them.  This is
+    :func:`predict_windows` for one window.
     """
-    ws = _sequence_workspace(params, sequence)
-    yhat = _forward(ws, *_batched(params))[:, 0, 0]
-    if not np.isfinite(yhat).all():
+    forecast = predict_windows([params], np.asarray(sequence, dtype=float)[None])[0]
+    if math.isnan(forecast):
         raise NumericError("non-finite prediction in forward pass")
-    return float(yhat[-1])
+    return float(forecast)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import ConfigError, DataError, FitError, NumericError, ParseError
 from .forest import ForestConfig, rf_fit, rf_predict
 from .linear import ols_fit, ols_predict
 # perfbench/trace.py wraps lstm_train and lstm_predict here by name, so both stay imported
-from .lstm import TrainConfig, lstm_predict, lstm_train, train_windows
+from .lstm import TrainConfig, lstm_predict, lstm_train, predict_windows, train_windows
 from .marketdata import (
     MAX_FEATURE_LAG,
     SESSION_END_MINUTE,
@@ -237,57 +237,62 @@ def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> 
     return int.from_bytes(digest, "big")
 
 
-def _ols_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
-    """OLS: one closed-form fit over the stack; NaN where the regressor is constant."""
-    return ols_predict(ols_fit(X, y), x_test)
+def _ols_forecasts(spec: ModelSpec, X, y, lengths, x_test, seeds) -> np.ndarray:
+    """OLS: closed-form fits, one stack per window length; NaN where the regressor is constant."""
+    forecasts = np.empty(len(X))
+    for n in np.unique(lengths).tolist():
+        j = np.flatnonzero(lengths == n)
+        forecasts[j] = ols_predict(ols_fit(X[j, -n:], y[j, -n:]), x_test[j])
+    return forecasts
 
 
-def _rf_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
+def _rf_forecasts(spec: ModelSpec, X, y, lengths, x_test, seeds) -> np.ndarray:
     """RF: one forest per window, grown from its own seed; NaN where a fit fails."""
     forecasts = np.full(len(X), math.nan)
-    for j, seed in enumerate(seeds):
+    for j, (n, seed) in enumerate(zip(lengths.tolist(), seeds)):
         config = replace(spec.config, seed=seed)
         try:
-            forecasts[j] = rf_predict(rf_fit(X[j], y[j], config), x_test[j])
+            forecasts[j] = rf_predict(rf_fit(X[j, -n:], y[j, -n:], config), x_test[j])
         except (FitError, NumericError):
             pass
     return forecasts
 
 
-def _lstm_forecasts(spec: ModelSpec, X, y, x_test, seeds) -> np.ndarray:
-    """LSTM: train the stack's windows as one batch; NaN where a window falls back.
+def _lstm_forecasts(spec: ModelSpec, X, y, lengths, x_test, seeds) -> np.ndarray:
+    """LSTM: train every window as one batch, predict all in one pass; NaN where one falls back.
 
-    Windows train with per-window seeds, and results per window do not
-    depend on which other windows shared the batch. A window falls back
-    when it has no more rows than the sequence length, so it cannot form a
-    training subsequence, when its training diverged, or when its forecast
-    is not finite.
+    Every window trains on all subsequences of its padded stack; those
+    that start before the window's first row are masked, so they cannot
+    reach its parameters. Windows train with per-window seeds, and results
+    per window do not depend on which other windows shared the batch. A
+    window falls back when it has no more rows than the sequence length,
+    so every subsequence is masked, when its training diverged, or when
+    its forecast is not finite.
     """
     config = spec.config
     length = config.sequence_length
-    W, n, _ = X.shape
-    forecasts = np.full(W, math.nan)
-    if n <= length:
-        return forecasts
+    W, rows, _ = X.shape
+    if rows <= length:
+        return np.full(W, math.nan)
+    # subsequence s spans stack rows s .. s + length - 1; it counts when they
+    # are all the window's own, and only in a window with more rows than
+    # `length`, the least lstm_train accepts
+    starts = np.arange(rows - length + 1)
+    mask = (starts >= (rows - lengths)[:, None]) & (lengths > length)[:, None]
     fitted = train_windows(
         sliding_window_view(X, length, axis=1).transpose(0, 1, 3, 2),
         sliding_window_view(y, length, axis=1),
         config,
         seeds,
+        mask=mask,
     )
-    for j, params in enumerate(fitted):
-        if params is None:
-            continue
-        # the `length` most recent feature vectors, ending at the test minute
-        sequence = np.vstack([X[j, n - length + 1:], x_test[j]])
-        try:
-            forecasts[j] = lstm_predict(params, sequence)
-        except NumericError:
-            pass
-    return forecasts
+    # the `length` most recent feature vectors, ending at the test minute
+    sequences = np.concatenate([X[:, rows - length + 1:], x_test[:, None]], axis=1)
+    return predict_windows(fitted, sequences)
 
 
-# every non-naive family: (spec, X (W, n, k), y (W, n), x_test (W, k), seeds) -> (W,)
+# every non-naive family: (spec, X (W, 30, k), y (W, 30), lengths (W,),
+# x_test (W, k), seeds) -> (W,); window j's own rows are the last lengths[j]
 _FORECASTS = {
     ModelFamily.OLS_BENCH: _ols_forecasts,
     ModelFamily.RF: _rf_forecasts,
@@ -341,13 +346,13 @@ def _run_model(
         x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
         in_range = (x_test >= -MAX_EXTRAPOLATION) & (x_test <= 1.0 + MAX_EXTRAPOLATION)
         fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & in_range.all(axis=1)
-        forecast = _FORECASTS[spec.family]
         yhat_scaled = np.full(len(tests), math.nan)
-        # one stack per window length; a day's windows have 22 to 30 rows
-        for n in sorted(set(lengths[fit].tolist())):
-            j = np.flatnonzero(fit & (lengths == n))
+        j = np.flatnonzero(fit)
+        if len(j):
             seeds = [derive_seed(master_seed, day, test_minutes[i], spec.key) for i in j.tolist()]
-            yhat_scaled[j] = forecast(spec, scaled[j, -n:, :k], scaled[j, -n:, k], x_test[j], seeds)
+            yhat_scaled[j] = _FORECASTS[spec.family](
+                spec, scaled[j, :, :k], scaled[j, :, k], lengths[j], x_test[j], seeds
+            )
         y_hat = inverse_transform_target(scaler, yhat_scaled, k)
         # a degenerate target inverts to its constant whatever the forecast
         ok = np.isfinite(yhat_scaled) & np.isfinite(y_hat)

@@ -45,8 +45,8 @@ rf_trees = 3
 """
 
 PREDICTION_SLICES = {
-    ("lstm", "agg"): "5a96444a164db111742045618020334a175c3a42d50758347660ddcc394b5f0c",
-    ("lstm", "vix"): "0122ec03140507a117c40d108dbbee2c807a418479dde051863b89f48b8c7a1b",
+    ("lstm", "agg"): "130f60508c22a02cd17501347c916d26322cb230e4928b36c5899b51179adbfa",
+    ("lstm", "vix"): "178d05b34b82374450e50784b68db0509dd47d6a491bb8ea45e9ada11b5a50f6",
     ("naive", "none"): "59fa8a13e15536992a267f711fe40c366918959ed0e66071edb29ff725dce4d1",
     ("ols-ar1", "ar1"): "2acbdd7304f0b00e8626e174632944cff1c3601bd848622dccb0c0767fc94d5c",
     ("ols-dvix", "dvix"): "bf3c8c720fae6a3fdc26080f7ec816e302e371ba0bb353b4cb1346c5899e4e15",

@@ -471,10 +471,86 @@ class TestTraining:
         batched = lstm.train_windows(X, Y, cfg, seeds)
         for w in range(W):
             solo = lstm.train_windows(X[w : w + 1], Y[w : w + 1], cfg, seeds[w : w + 1])[0]
-            np.testing.assert_allclose(
-                lstm.flatten_params(batched[w]), lstm.flatten_params(solo),
-                rtol=1e-10, atol=1e-12,
+            np.testing.assert_array_equal(
+                lstm.flatten_params(batched[w]), lstm.flatten_params(solo)
             )
+
+    @pytest.mark.parametrize("L", [3, 9])
+    def test_chunked_batch_matches_one_window_at_a_time(self, L):
+        # one window more than a chunk, so the last chunk holds one window;
+        # L = 9 sums more steps than numpy's pairwise block of eight
+        rng = np.random.default_rng(42)
+        W, S, n = lstm.TRAIN_CHUNK_WINDOWS + 1, 3, 2
+        X = rng.uniform(0, 1, size=(W, S, L, n))
+        Y = rng.uniform(0, 1, size=(W, S, L))
+        mask = rng.uniform(size=(W, S)) < 0.7
+        cfg = lstm.TrainConfig(hidden_dim=2, epochs=3, sequence_length=L)
+        seeds = list(range(100, 100 + W))
+        batched = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        for w in range(W):
+            solo = lstm.train_windows(
+                X[w : w + 1], Y[w : w + 1], cfg, seeds[w : w + 1], mask=mask[w : w + 1]
+            )[0]
+            if solo is None:
+                assert batched[w] is None and not mask[w].any()
+            else:
+                np.testing.assert_array_equal(
+                    lstm.flatten_params(batched[w]), lstm.flatten_params(solo)
+                )
+
+
+class TestSubsequenceMask:
+    def data(self, seed=43, W=3, S=6, L=4, n=2):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(W, S, L, n))
+        Y = rng.uniform(0, 1, size=(W, S, L))
+        cfg = lstm.TrainConfig(hidden_dim=3, epochs=15, sequence_length=L)
+        return X, Y, cfg, [21, 22, 23][:W]
+
+    @staticmethod
+    def vectors(fitted):
+        return [lstm.flatten_params(p) for p in fitted]
+
+    def test_masked_subsequences_cannot_reach_the_parameters(self):
+        X, Y, cfg, seeds = self.data()
+        mask = np.ones(X.shape[:2], dtype=bool)
+        mask[0, :2] = False
+        mask[2, ::2] = False
+        before = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        rng = np.random.default_rng(44)
+        X[~mask] = rng.uniform(-50, 50, size=X[~mask].shape)
+        Y[~mask] = rng.uniform(-50, 50, size=Y[~mask].shape)
+        after = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        for a, b in zip(self.vectors(before), self.vectors(after)):
+            np.testing.assert_array_equal(a, b)
+        # the untouched window trains as with no mask at all
+        np.testing.assert_array_equal(
+            self.vectors(after)[1], self.vectors(lstm.train_windows(X, Y, cfg, seeds))[1]
+        )
+
+    def test_all_true_mask_is_no_mask(self):
+        X, Y, cfg, seeds = self.data()
+        unmasked = lstm.train_windows(X, Y, cfg, seeds)
+        masked = lstm.train_windows(X, Y, cfg, seeds, mask=np.ones(X.shape[:2], dtype=bool))
+        for a, b in zip(self.vectors(unmasked), self.vectors(masked)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_window_without_live_subsequence_is_none(self):
+        X, Y, cfg, seeds = self.data()
+        mask = np.ones(X.shape[:2], dtype=bool)
+        mask[1] = False
+        fitted = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        assert fitted[1] is None
+        clean = lstm.train_windows(X, Y, cfg, seeds)
+        for w in (0, 2):
+            np.testing.assert_array_equal(
+                lstm.flatten_params(fitted[w]), lstm.flatten_params(clean[w])
+            )
+
+    def test_mask_shape_is_checked(self):
+        X, Y, cfg, seeds = self.data()
+        with pytest.raises(ShapeError):
+            lstm.train_windows(X, Y, cfg, seeds, mask=np.ones((3, 5), dtype=bool))
 
     def test_overfits_constant_target(self):
         rng = np.random.default_rng(51)
@@ -611,6 +687,40 @@ class TestLstmPredict:
         assert lstm.lstm_predict(params, x[None, :]) == pytest.approx(
             expected[0], rel=1e-14, abs=1e-16
         )
+
+
+class TestPredictWindows:
+    def test_matches_lstm_predict_bitwise(self):
+        rng = np.random.default_rng(92)
+        fitted = [random_params(rng, n=2, d=3) for _ in range(5)]
+        fitted[3] = None
+        sequences = rng.uniform(-1, 1, size=(5, 4, 2))
+        forecasts = lstm.predict_windows(fitted, sequences)
+        assert forecasts.shape == (5,)
+        for params, sequence, forecast in zip(fitted, sequences, forecasts):
+            if params is None:
+                assert math.isnan(forecast)
+            else:
+                assert forecast == lstm.lstm_predict(params, sequence)
+
+    def test_non_finite_output_is_nan(self):
+        rng = np.random.default_rng(93)
+        fitted = [random_params(rng, n=1, d=2) for _ in range(2)]
+        sequences = rng.uniform(-1, 1, size=(2, 3, 1))
+        sequences[0, 1, 0] = math.nan
+        forecasts = lstm.predict_windows(fitted, sequences)
+        assert math.isnan(forecasts[0])
+        assert forecasts[1] == lstm.lstm_predict(fitted[1], sequences[1])
+        with pytest.raises(NumericError):
+            lstm.lstm_predict(fitted[0], sequences[0])
+
+    def test_no_fitted_window(self):
+        assert np.isnan(lstm.predict_windows([None, None], np.zeros((2, 3, 1)))).all()
+
+    def test_sequence_count_is_checked(self):
+        params = random_params(np.random.default_rng(94), n=1, d=2)
+        with pytest.raises(ShapeError):
+            lstm.predict_windows([params, params], np.zeros((3, 4, 1)))
 
 
 class TestParamPlumbing:
