@@ -499,59 +499,6 @@ class TestTraining:
                 )
 
 
-class TestSubsequenceMask:
-    def data(self, seed=43, W=3, S=6, L=4, n=2):
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(0, 1, size=(W, S, L, n))
-        Y = rng.uniform(0, 1, size=(W, S, L))
-        cfg = lstm.TrainConfig(hidden_dim=3, epochs=15, sequence_length=L)
-        return X, Y, cfg, [21, 22, 23][:W]
-
-    @staticmethod
-    def vectors(fitted):
-        return [lstm.flatten_params(p) for p in fitted]
-
-    def test_masked_subsequences_cannot_reach_the_parameters(self):
-        X, Y, cfg, seeds = self.data()
-        mask = np.ones(X.shape[:2], dtype=bool)
-        mask[0, :2] = False
-        mask[2, ::2] = False
-        before = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
-        rng = np.random.default_rng(44)
-        X[~mask] = rng.uniform(-50, 50, size=X[~mask].shape)
-        Y[~mask] = rng.uniform(-50, 50, size=Y[~mask].shape)
-        after = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
-        for a, b in zip(self.vectors(before), self.vectors(after)):
-            np.testing.assert_array_equal(a, b)
-        # the untouched window trains as with no mask at all
-        np.testing.assert_array_equal(
-            self.vectors(after)[1], self.vectors(lstm.train_windows(X, Y, cfg, seeds))[1]
-        )
-
-    def test_all_true_mask_is_no_mask(self):
-        X, Y, cfg, seeds = self.data()
-        unmasked = lstm.train_windows(X, Y, cfg, seeds)
-        masked = lstm.train_windows(X, Y, cfg, seeds, mask=np.ones(X.shape[:2], dtype=bool))
-        for a, b in zip(self.vectors(unmasked), self.vectors(masked)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_window_without_live_subsequence_is_none(self):
-        X, Y, cfg, seeds = self.data()
-        mask = np.ones(X.shape[:2], dtype=bool)
-        mask[1] = False
-        fitted = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
-        assert fitted[1] is None
-        clean = lstm.train_windows(X, Y, cfg, seeds)
-        for w in (0, 2):
-            np.testing.assert_array_equal(
-                lstm.flatten_params(fitted[w]), lstm.flatten_params(clean[w])
-            )
-
-    def test_mask_shape_is_checked(self):
-        X, Y, cfg, seeds = self.data()
-        with pytest.raises(ShapeError):
-            lstm.train_windows(X, Y, cfg, seeds, mask=np.ones((3, 5), dtype=bool))
-
     def test_overfits_constant_target(self):
         rng = np.random.default_rng(51)
         X = rng.uniform(0, 1, size=(10, 1))
@@ -657,6 +604,59 @@ class TestSubsequenceMask:
             with pytest.raises(NumericError):
                 lstm.lstm_train(X, y, cfg)
 
+
+class TestSubsequenceMask:
+    def data(self, seed=43, W=3, S=6, L=4, n=2):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, size=(W, S, L, n))
+        Y = rng.uniform(0, 1, size=(W, S, L))
+        cfg = lstm.TrainConfig(hidden_dim=3, epochs=15, sequence_length=L)
+        return X, Y, cfg, [21, 22, 23][:W]
+
+    @staticmethod
+    def vectors(fitted):
+        return [lstm.flatten_params(p) for p in fitted]
+
+    def test_masked_subsequences_cannot_reach_the_parameters(self):
+        X, Y, cfg, seeds = self.data()
+        mask = np.ones(X.shape[:2], dtype=bool)
+        mask[0, :2] = False
+        mask[2, ::2] = False
+        before = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        rng = np.random.default_rng(44)
+        X[~mask] = rng.uniform(-50, 50, size=X[~mask].shape)
+        Y[~mask] = rng.uniform(-50, 50, size=Y[~mask].shape)
+        after = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        for a, b in zip(self.vectors(before), self.vectors(after)):
+            np.testing.assert_array_equal(a, b)
+        # the untouched window trains as with no mask at all
+        np.testing.assert_array_equal(
+            self.vectors(after)[1], self.vectors(lstm.train_windows(X, Y, cfg, seeds))[1]
+        )
+
+    def test_all_true_mask_is_no_mask(self):
+        X, Y, cfg, seeds = self.data()
+        unmasked = lstm.train_windows(X, Y, cfg, seeds)
+        masked = lstm.train_windows(X, Y, cfg, seeds, mask=np.ones(X.shape[:2], dtype=bool))
+        for a, b in zip(self.vectors(unmasked), self.vectors(masked)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_window_without_live_subsequence_is_none(self):
+        X, Y, cfg, seeds = self.data()
+        mask = np.ones(X.shape[:2], dtype=bool)
+        mask[1] = False
+        fitted = lstm.train_windows(X, Y, cfg, seeds, mask=mask)
+        assert fitted[1] is None
+        clean = lstm.train_windows(X, Y, cfg, seeds)
+        for w in (0, 2):
+            np.testing.assert_array_equal(
+                lstm.flatten_params(fitted[w]), lstm.flatten_params(clean[w])
+            )
+
+    def test_mask_shape_is_checked(self):
+        X, Y, cfg, seeds = self.data()
+        with pytest.raises(ShapeError):
+            lstm.train_windows(X, Y, cfg, seeds, mask=np.ones((3, 5), dtype=bool))
 
 class TestLstmPredict:
     def test_equals_last_forward_output(self):
