@@ -1,8 +1,10 @@
 """A from-scratch LSTM regressor for one-step-ahead return forecasting.
 
 Single layer, trained per rolling window with full-batch gradient descent
-and backpropagation through time.  Everything lives in double precision
-and no autodiff framework is involved.
+and backpropagation through time; no autodiff framework is involved.
+Training runs in float32; the gradient check and prediction run in
+float64 through the same kernel, which takes its dtype from its inputs.
+Fitted parameters come back as float64 arrays holding float32 values.
 
 Parameters are stored packed: the four gates share one input matrix, one
 recurrent matrix and one bias vector, stacked along the row axis in the
@@ -16,7 +18,9 @@ window) and the finite-difference check (:func:`gradient_check`) all run
 through it, prediction with S = 1 and the check with W = S = 1, so the
 gradient that is checked is the gradient that trains.
 The sigmoid gates are ``0.5 * tanh(0.5 * z) + 0.5``, which cannot
-overflow, and a window that diverges is masked inside its batch.
+overflow: the halving of z is folded into the gate rows of the weights,
+which is exact, so one tanh covers every gate of a step.  A window that
+diverges is masked inside its batch.
 
 Windows of different lengths share one batch: every window carries the
 same S subsequences, and a boolean mask marks the ones that count.  A
@@ -41,8 +45,8 @@ from .errors import ConfigError, FitError, NumericError, ShapeError
 
 # Windows per kernel batch in train_windows.  Smaller batches keep the
 # per-step slabs in cache; larger ones pay the per-step Python overhead
-# fewer times.  Picked by timing full 340-window model-days.
-TRAIN_CHUNK_WINDOWS = 64
+# fewer times.  Picked by timing full 340-window model-days in float32.
+TRAIN_CHUNK_WINDOWS = 128
 
 __all__ = [
     "GradCheckReport",
@@ -201,9 +205,18 @@ def _init_window(rng: np.random.Generator, n: int, d: int, scale: float):
 class _Workspace:
     """Inputs and buffers of one batched BPTT over X of shape (W, S, L, n).
 
-    Step-major activation slabs keep per-step reads and writes contiguous,
-    but for the gate views F, I and O, which share one slab so that each
-    step computes the three sigmoids, and their derivatives, in one pass.
+    Every buffer takes X's dtype: float32 when training, float64 for the
+    gradient check and for prediction.  Slabs are step-major and keep the
+    S subsequences on the last axis, so step j of window w is a (rows, S)
+    block and a gate, the cell or the hidden state of one step is a
+    contiguous run of d * S values per window.  A[j] stacks the hidden
+    state entering step j (d rows, zero at step 0), the inputs of step j
+    (n rows) and a row of ones, so that one matmul with the packed weights
+    Wz = [w_h | w_x | b] gives all pre-activations of step j; A[j + 1]
+    holds the hidden state that step j leaves.  G[j] holds the forget,
+    input and output gates and the candidate, in parameter row order, and
+    Cs[j] the cell state.
+    F, I, O, P, C and H are (L, W, S, d) views, for inspection.
     All buffers live across epochs so the hot loop never allocates.  This
     loop dominates a full-sample run, hence the fuss.
     """
@@ -211,32 +224,45 @@ class _Workspace:
     def __init__(self, X: np.ndarray, d: int):
         W, S, L, n = X.shape
         H4 = 4 * d
+        K = d + n + 1
+        dtype = X.dtype
         self.shape = (W, S, L, n, d)
-        self.X_flat = X.reshape(W, S * L, n)
-        self.G = np.empty((L, W, S, 3 * d))
-        self.F, self.I, self.O = (self.G[..., k * d : (k + 1) * d] for k in range(3))
-        self.P = np.empty((L, W, S, d))
-        self.C = np.empty((L, W, S, d))
-        self.TC = np.empty((L, W, S, d))
-        self.H = np.empty((L, W, S, d))
-        self.DZ = np.empty((L, W, S, H4))
-        self.Yhat = np.empty((L, W, S))
-        self.dY = np.empty((L, W, S))
-        self.zbuf = np.empty((W, S, H4))
-        self.zeros_state = np.zeros((W, S, d))
-        self.dh = np.empty((W, S, d))
-        self.dh_carry = np.empty((W, S, d))
-        self.dc_carry = np.empty((W, S, d))
-        self.t1 = np.empty((W, S, d))
-        self.t2 = np.empty((W, S, d))
-        self.dG = np.empty((W, S, 3 * d))
-        self.X_L = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-        self.g_wx = np.empty((W, H4, n))
-        self.g_wh = np.empty((W, H4, d))
-        self.g_wy = np.empty((W, d))
-        self.gx_tmp = np.empty((W, H4, n))
-        self.gh_tmp = np.empty((W, H4, d))
-        self.gy_tmp = np.empty((W, 1, d))
+        self.A = np.zeros((L + 1, W, K, S), dtype)
+        self.A[:L, :, d : d + n] = X.transpose(2, 0, 3, 1)
+        self.A[:L, :, d + n] = 1.0
+        # A[:L] with rows and columns swapped, the layout the weight
+        # gradient's matmul runs fastest on; _backward refreshes its h columns
+        self.AT = np.ascontiguousarray(self.A[:L].transpose(0, 1, 3, 2))
+        self.Wz = np.empty((W, H4, K), dtype)
+        # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5: Wz holds the gate rows
+        # halved, and tanh's output of them is halved and shifted by 0.5
+        self.w_half = np.ones((H4, K), dtype)
+        self.w_half[: 3 * d] = 0.5
+        self.g_half = np.ones((H4, S), dtype)
+        self.g_half[: 3 * d] = 0.5
+        self.g_shift = np.zeros((H4, S), dtype)
+        self.g_shift[: 3 * d] = 0.5
+        self.G = np.empty((L, W, H4, S), dtype)
+        self.Cs = np.empty((L, W, d, S), dtype)
+        self.TC = np.empty((L, W, d, S), dtype)
+        self.Yhat = np.empty((L, W, S), dtype)
+        self.dY = np.empty((L, W, S), dtype)
+        self.DH = np.empty((L, W, d, S), dtype)
+        self.DZ = np.empty((L, W, H4, S), dtype)
+        self.dG = np.empty((W, 3 * d, S), dtype)
+        self.dc = np.empty((W, d, S), dtype)
+        self.t = np.empty((W, d, S), dtype)
+        self.dh_carry = np.empty((W, d, S), dtype)
+        self.dc_carry = np.empty((W, d, S), dtype)
+        self.gz_steps = np.empty((L, W, H4, K), dtype)
+        self.gz = np.empty((W, H4, K), dtype)
+        self.gy_steps = np.empty((L, W, d, 1), dtype)
+        self.gy = np.empty((W, d, 1), dtype)
+        self.F, self.I, self.O, self.P = (
+            self.G[:, :, k * d : (k + 1) * d].transpose(0, 1, 3, 2) for k in range(4)
+        )
+        self.C = self.Cs.transpose(0, 1, 3, 2)
+        self.H = self.A[1:, :, :d].transpose(0, 1, 3, 2)
 
 
 def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
@@ -247,32 +273,24 @@ def _forward(ws: _Workspace, w_x, w_h, b, w_y, b_y) -> np.ndarray:
     workspace for :func:`_backward`.
     """
     W, S, L, n, d = ws.shape
-    H4 = 4 * d
-    G, F, I, O, P, C, TC, H = ws.G, ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H
-    Yhat, zbuf, zeros_state, t1 = ws.Yhat, ws.zbuf, ws.zeros_state, ws.t1
-    X_proj = (ws.X_flat @ w_x.transpose(0, 2, 1)).reshape(W, S, L, H4)
-    X_proj += b[:, None, None, :]
-    X_proj = X_proj.transpose(2, 0, 1, 3)
-    w_hT = w_h.transpose(0, 2, 1)
+    A, G, C, TC, Wz = ws.A, ws.G, ws.Cs, ws.TC, ws.Wz
+    np.concatenate([w_h, w_x, b[:, :, None]], axis=2, out=Wz)
+    Wz *= ws.w_half
     for j in range(L):
-        c_prev = C[j - 1] if j else zeros_state
-        h_prev = H[j - 1] if j else zeros_state
-        np.matmul(h_prev, w_hT, out=zbuf)
-        zbuf += X_proj[j]
-        np.multiply(zbuf[..., : 3 * d], 0.5, out=G[j])
-        np.tanh(G[j], out=G[j])
-        G[j] *= 0.5
-        G[j] += 0.5  # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5
-        np.tanh(zbuf[..., 3 * d :], out=P[j])
-        np.multiply(F[j], c_prev, out=t1)
-        np.multiply(I[j], P[j], out=C[j])
-        C[j] += t1
+        g = G[j]
+        np.matmul(Wz, A[j], out=g)
+        np.tanh(g, out=g)
+        g *= ws.g_half
+        g += ws.g_shift
+        np.multiply(g[:, d : 2 * d], g[:, 3 * d :], out=C[j])
+        if j:  # c = f * c_prev + i * p; the state before step 0 is zero
+            np.multiply(g[:, :d], C[j - 1], out=ws.t)
+            C[j] += ws.t
         np.tanh(C[j], out=TC[j])
-        np.multiply(O[j], TC[j], out=H[j])
-        np.multiply(H[j], w_y[:, None, :], out=t1)
-        np.sum(t1, axis=-1, out=Yhat[j])
-        Yhat[j] += b_y[:, None]
-    return Yhat
+        np.multiply(g[:, 2 * d : 3 * d], TC[j], out=A[j + 1][:, :d])
+    np.matmul(w_y[:, None, :], A[1:, :, :d], out=ws.Yhat[:, :, None, :])
+    ws.Yhat += b_y[:, None]
+    return ws.Yhat
 
 
 def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y, dead=None):
@@ -284,57 +302,58 @@ def _backward(ws: _Workspace, YL: np.ndarray, w_h, w_y, dead=None):
     not count: their output gradient is exactly zero, so every gradient
     term they feed is an exact zero.
     Returns (g_wx, g_wh, g_b, g_wy, g_by), batched like the parameters;
-    the weight gradients are workspace buffers, overwritten by the next
-    call.
+    the weight gradients are views of workspace buffers, overwritten by
+    the next call.
     """
     W, S, L, n, d = ws.shape
-    G, F, I, O, P, C, TC, H, DZ = ws.G, ws.F, ws.I, ws.O, ws.P, ws.C, ws.TC, ws.H, ws.DZ
-    dY, zeros_state = ws.dY, ws.zeros_state
-    dh, dh_carry, dc_carry, t1, t2, dG = ws.dh, ws.dh_carry, ws.dc_carry, ws.t1, ws.t2, ws.dG
-    g_wx, g_wh, g_wy = ws.g_wx, ws.g_wh, ws.g_wy
-    gx_tmp, gh_tmp, gy_tmp = ws.gx_tmp, ws.gh_tmp, ws.gy_tmp
+    A, G, C, TC, DZ, DH = ws.A, ws.G, ws.Cs, ws.TC, ws.DZ, ws.DH
+    dY, dG, dc, t, dh_carry, dc_carry = ws.dY, ws.dG, ws.dc, ws.t, ws.dh_carry, ws.dc_carry
     np.subtract(ws.Yhat, YL, out=dY)
     dY *= 2.0 / L
     if dead is not None:
         np.copyto(dY, 0.0, where=dead)
-    dh_carry[:] = 0.0
-    dc_carry[:] = 0.0
-    g_wx[:] = 0.0
-    g_wh[:] = 0.0
-    g_wy[:] = 0.0
+    np.multiply(w_y[:, :, None], dY[:, :, None, :], out=DH)  # every step's dh from its output
+    w_hT = w_h.transpose(0, 2, 1)
     for j in range(L - 1, -1, -1):
-        c_prev = C[j - 1] if j else zeros_state
-        np.multiply(w_y[:, None, :], dY[j][:, :, None], out=dh)
-        dh += dh_carry
-        np.multiply(TC[j], TC[j], out=t1)
-        np.subtract(1.0, t1, out=t1)
-        t1 *= O[j]
-        t1 *= dh
-        t1 += dc_carry  # t1 is now dc
-        np.subtract(1.0, G[j], out=dG)
-        dG *= G[j]  # sigmoid'(z) = (1 - g) * g, for the three gates at once
-        np.multiply(t1, c_prev, out=DZ[j][..., :d])
-        np.multiply(t1, P[j], out=DZ[j][..., d : 2 * d])
-        np.multiply(dh, TC[j], out=DZ[j][..., 2 * d : 3 * d])
-        DZ[j][..., : 3 * d] *= dG
-        np.multiply(P[j], P[j], out=t2)
-        np.subtract(1.0, t2, out=t2)
-        t2 *= I[j]
-        np.multiply(t1, t2, out=DZ[j][..., 3 * d :])
-        dzT = DZ[j].transpose(0, 2, 1)
-        np.matmul(dzT, ws.X_L[j], out=gx_tmp)
-        g_wx += gx_tmp
-        np.matmul(dzT, H[j - 1] if j else zeros_state, out=gh_tmp)
-        g_wh += gh_tmp
-        np.matmul(dY[j][:, None, :], H[j], out=gy_tmp)
-        g_wy += gy_tmp.reshape(W, d)
-        np.matmul(DZ[j], w_h, out=dh_carry)
-        np.multiply(t1, F[j], out=dc_carry)
+        g, dz, dh = G[j], DZ[j], DH[j]
+        if j < L - 1:  # nothing flows back into the last step
+            dh += dh_carry
+        # dc = dh * o * (1 - tanh(c)^2) + dc_carry
+        np.multiply(TC[j], TC[j], out=dc)
+        np.subtract(1.0, dc, out=dc)
+        dc *= g[:, 2 * d : 3 * d]
+        dc *= dh
+        if j < L - 1:
+            dc += dc_carry
+        np.subtract(1.0, g[:, : 3 * d], out=dG)
+        dG *= g[:, : 3 * d]  # sigmoid'(z) = (1 - g) * g, for the three gates at once
+        if j:
+            np.multiply(dc, C[j - 1], out=dz[:, :d])
+        else:
+            dz[:, :d] = 0.0
+        np.multiply(dc, g[:, 3 * d :], out=dz[:, d : 2 * d])
+        np.multiply(dh, TC[j], out=dz[:, 2 * d : 3 * d])
+        dz[:, : 3 * d] *= dG
+        # candidate: dc * i * (1 - p^2)
+        np.multiply(g[:, 3 * d :], g[:, 3 * d :], out=t)
+        np.subtract(1.0, t, out=t)
+        t *= g[:, d : 2 * d]
+        np.multiply(dc, t, out=dz[:, 3 * d :])
+        if j:  # step 0 starts from the zero state: nothing to carry further
+            np.matmul(w_hT, dz, out=dh_carry)
+            np.multiply(dc, g[:, :d], out=dc_carry)
 
-    g_b = DZ.sum(axis=(0, 2))
+    # every step's weight gradients at once, then summed over the steps in
+    # order: dz_j times step j's [h_prev, x, 1] for Wz, dy_j times h_j for w_y
+    np.copyto(ws.AT[1:, :, :, :d], A[1:L, :, :d].transpose(0, 1, 3, 2))
+    np.matmul(DZ, ws.AT, out=ws.gz_steps)
+    np.sum(ws.gz_steps, axis=0, out=ws.gz)
+    np.matmul(A[1:, :, :d], dY[:, :, :, None], out=ws.gy_steps)
+    np.sum(ws.gy_steps, axis=0, out=ws.gy)
     # step by step: with W = 1, dY.sum(axis=(0, 2)) would sum in another order
     g_by = np.add.accumulate(dY.sum(axis=2), axis=0)[-1]
-    return g_wx, g_wh, g_b, g_wy, g_by
+    gz = ws.gz
+    return gz[:, :, d : d + n], gz[:, :, :d], gz[:, :, d + n], ws.gy[:, :, 0], g_by
 
 
 def train_windows(
@@ -360,6 +379,8 @@ def train_windows(
     step size and the defaults train at constant speed instead of
     stalling on the small-gradient plateau near initialization.
 
+    The windows train in float32.  X and Y must be finite; a value beyond
+    float32's range rounds to an infinity, and its window diverges.
     A window diverges when an epoch's forecasts, on every subsequence
     whether counted or not, or its gradient norm, or its final
     parameters, are not all finite.  From then on it takes no steps, and
@@ -397,26 +418,31 @@ def train_windows(
 
 
 def _train_chunk(X, Y, dead, config: TrainConfig, seeds) -> List[Optional[LstmParams]]:
-    """:func:`train_windows` on one kernel batch; ``dead`` is the negated mask."""
+    """:func:`train_windows` on one kernel batch; ``dead`` is the negated mask.
+
+    The kernel runs in float32: parameters, inputs, targets and every
+    buffer.  Only the clip norm's sum of squares is taken in float64, so a
+    finite gradient never has an overflowing norm.
+    """
     W, S, L, n = X.shape
     d = config.hidden_dim
     H4 = 4 * d
     lr = config.learning_rate
     clip = config.clip_norm
 
-    w_x = np.empty((W, H4, n))
-    w_h = np.empty((W, H4, d))
-    b = np.empty((W, H4))
-    w_y = np.empty((W, d))
-    b_y = np.empty(W)
+    w_x = np.empty((W, H4, n), np.float32)
+    w_h = np.empty((W, H4, d), np.float32)
+    b = np.empty((W, H4), np.float32)
+    w_y = np.empty((W, d), np.float32)
+    b_y = np.empty(W, np.float32)
     for w, seed in enumerate(seeds):
         w_x[w], w_h[w], b[w], w_y[w], b_y[w] = _init_window(
             np.random.default_rng(int(seed)), n, d, config.init_scale
         )
     params = (w_x, w_h, b, w_y, b_y)
 
-    ws = _Workspace(X, d)
-    YL = np.ascontiguousarray(Y.transpose(2, 0, 1))
+    ws = _Workspace(X.astype(np.float32), d)
+    YL = np.ascontiguousarray(Y.transpose(2, 0, 1), dtype=np.float32)
     # a window with nothing to learn from must not come back as its init
     alive = ~dead.all(axis=1)
     for _ in range(config.epochs):
@@ -424,9 +450,9 @@ def _train_chunk(X, Y, dead, config: TrainConfig, seeds) -> List[Optional[LstmPa
         alive &= np.isfinite(Yhat).all(axis=(0, 2))
         grads = _backward(ws, YL, w_h, w_y, dead)
 
-        sq = sum((g * g).reshape(W, -1).sum(axis=1) for g in grads)
+        sq = sum(np.square(g, dtype=np.float64).reshape(W, -1).sum(axis=1) for g in grads)
         alive &= np.isfinite(sq)
-        rate = lr * np.minimum(1.0, clip / np.maximum(np.sqrt(sq), 1e-300))
+        rate = (lr * np.minimum(1.0, clip / np.maximum(np.sqrt(sq), 1e-300))).astype(np.float32)
         for p, g in zip(params, grads):
             # a diverged window keeps its parameters as they are
             per_window = (W,) + (1,) * (p.ndim - 1)

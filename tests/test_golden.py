@@ -45,8 +45,8 @@ rf_trees = 3
 """
 
 PREDICTION_SLICES = {
-    ("lstm", "agg"): "130f60508c22a02cd17501347c916d26322cb230e4928b36c5899b51179adbfa",
-    ("lstm", "vix"): "178d05b34b82374450e50784b68db0509dd47d6a491bb8ea45e9ada11b5a50f6",
+    ("lstm", "agg"): "99557d5376d7a59ffcd9368f535f27ecb7fba33f8ac8be466cd23e87d8f68477",
+    ("lstm", "vix"): "5219b02caa8f5ef8deadb1c1a630be7aca8f9dd3fceec6b0d33412d5c35a3f98",
     ("naive", "none"): "59fa8a13e15536992a267f711fe40c366918959ed0e66071edb29ff725dce4d1",
     ("ols-ar1", "ar1"): "2acbdd7304f0b00e8626e174632944cff1c3601bd848622dccb0c0767fc94d5c",
     ("ols-dvix", "dvix"): "bf3c8c720fae6a3fdc26080f7ec816e302e371ba0bb353b4cb1346c5899e4e15",
@@ -56,9 +56,9 @@ PREDICTION_SLICES = {
     ("rf", "agg"): "f9efcdff2347339225197913391cdc30d79b57a70ed23618cf65de0508c3c107",
     ("rf", "vix"): "e4675affd149aa99ad5d05e15cc0ec218633b5259bba97c0925f7ab21175cdaa",
 }
-DAILY_METRICS = "1c25e0c03fbd30a064aba24a376b06ed72f283d535806ff7245fb0ad7308b663"
-AGGREGATE_REPORT = "d135f9dec74cf96bb76d4f032eb96550fa3114a034a52d1def8fe674ea1701ce"
-TRAIN_WINDOWS = "3e54c9aa818bf15aec97002bcb3c0078cd0ded2668c23baf9679b1f1a35a9c90"
+DAILY_METRICS = "3802010af509d40bf70ccb5ff9f607ffc314918b11a6c6ab6df4ca4617bc3074"
+AGGREGATE_REPORT = "211e45c42ca959bef0be290afc332834097a2f9e8494c52fc754ecf3985c262a"
+TRAIN_WINDOWS = "6b68c2f50b85c20cc1cc17752bcc0eba3bdf03356f59857ed6fb509beedf02c5"
 RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 
 

@@ -33,17 +33,26 @@ def random_params(rng, n, d, scale=0.5):
 
 def _init_from_seed(cfg, n, seed):
     """The training initializer, spelled out: seeded uniform draws in
-    declaration order at init_scale."""
+    declaration order at init_scale, rounded to float32 as training
+    stores them."""
     rng = np.random.default_rng(seed)
     a = cfg.init_scale
     d = cfg.hidden_dim
     return lstm.LstmParams(
-        w_x=rng.uniform(-a, a, size=(4 * d, n)),
-        w_h=rng.uniform(-a, a, size=(4 * d, d)),
-        b=rng.uniform(-a, a, size=4 * d),
-        w_y=rng.uniform(-a, a, size=d),
-        b_y=float(rng.uniform(-a, a)),
+        w_x=as_float32(rng.uniform(-a, a, size=(4 * d, n))),
+        w_h=as_float32(rng.uniform(-a, a, size=(4 * d, d))),
+        b=as_float32(rng.uniform(-a, a, size=4 * d)),
+        w_y=as_float32(rng.uniform(-a, a, size=d)),
+        b_y=float(np.float32(rng.uniform(-a, a))),
     )
+
+
+EPS32 = float(np.finfo(np.float32).eps)
+
+
+def as_float32(a):
+    """a rounded to float32, held in float64: what training computes on."""
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +350,10 @@ class TestLstmBackward:
 
     def test_duplicated_pair_doubles_summed_gradient(self):
         # Gradients accumulate by summation across subsequences, so a
-        # duplicated pair doubles the unclipped one-epoch step exactly.
+        # duplicated pair doubles the unclipped one-epoch step, up to
+        # float32 rounding: each run rounds its update to half an ulp of
+        # the parameters, and the doubled run's sum over the pair rounds
+        # once more in each of the L steps and in their sum.
         rng = np.random.default_rng(9)
         X = rng.uniform(0, 1, size=(1, 1, 3, 2))
         Y = rng.uniform(0, 1, size=(1, 1, 3))
@@ -355,7 +367,13 @@ class TestLstmBackward:
         init = lstm.flatten_params(_init_from_seed(cfg, n=2, seed=123))
         solo_step = init - lstm.flatten_params(solo)
         doubled_step = init - lstm.flatten_params(doubled)
-        np.testing.assert_allclose(doubled_step, 2.0 * solo_step, rtol=0, atol=1e-14)
+        assert np.abs(doubled_step).max() > 1e-3
+        L = cfg.sequence_length
+        tolerance = EPS32 / 2 * (
+            np.abs(lstm.flatten_params(doubled)) + 2.0 * np.abs(lstm.flatten_params(solo))
+            + 2.0 * (L + 1) * np.abs(doubled_step).max()
+        )
+        assert np.all(np.abs(doubled_step - 2.0 * solo_step) <= tolerance)
 
     def test_target_shape_mismatch(self):
         cfg = lstm.TrainConfig(hidden_dim=2, sequence_length=3)
@@ -363,6 +381,71 @@ class TestLstmBackward:
             lstm.lstm_train(np.zeros((6, 2)), np.zeros(7), cfg)
         with pytest.raises(ShapeError):
             lstm.train_windows(np.zeros((1, 4, 3, 2)), np.zeros((1, 4, 4)), cfg, [1])
+
+
+class TestKernelBatchIndependence:
+    """A window's kernel outputs do not depend on the other windows in
+    its batch: every buffer and every matmul operand has the same layout
+    per window whatever W is."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_window_of_four_equals_window_alone(self, dtype, n):
+        rng = np.random.default_rng(95)
+        W, S, L, d = 4, 26, 5, 8
+        X = rng.uniform(0, 1, size=(W, S, L, n)).astype(dtype)
+        YL = rng.uniform(0, 1, size=(L, W, S)).astype(dtype)
+        dead = rng.uniform(size=(W, S)) < 0.2
+        params = [
+            rng.uniform(-0.5, 0.5, size=shape).astype(dtype)
+            for shape in ((W, 4 * d, n), (W, 4 * d, d), (W, 4 * d), (W, d), (W,))
+        ]
+
+        def run(X, YL, dead, params):
+            ws = lstm._Workspace(X, d)
+            yhat = lstm._forward(ws, *params).copy()
+            grads = [g.copy() for g in lstm._backward(ws, YL, params[1], params[3], dead)]
+            return yhat, grads
+
+        yhat, grads = run(X, YL, dead, params)
+        assert yhat.dtype == dtype and all(g.dtype == dtype for g in grads)
+        for w in range(W):
+            one = slice(w, w + 1)
+            yhat_w, grads_w = run(
+                np.ascontiguousarray(X[one]), np.ascontiguousarray(YL[:, one]),
+                dead[one], [np.ascontiguousarray(p[one]) for p in params],
+            )
+            np.testing.assert_array_equal(yhat_w[:, 0], yhat[:, w])
+            for g_w, g in zip(grads_w, grads):
+                np.testing.assert_array_equal(g_w[0], g[w])
+
+
+class TestWorkspaceDtype:
+    def test_training_is_float32_and_check_and_prediction_are_float64(self, monkeypatch):
+        seen = []
+
+        class Recording(lstm._Workspace):
+            def __init__(self, X, d):
+                super().__init__(X, d)
+                seen.append(self)
+
+        def dtypes():
+            found = {a.dtype for ws in seen for a in vars(ws).values() if isinstance(a, np.ndarray)}
+            assert all(hasattr(ws, k) for ws in seen for k in ("F", "I", "O", "P", "C", "H"))
+            seen.clear()
+            return found
+
+        monkeypatch.setattr(lstm, "_Workspace", Recording)
+        rng = np.random.default_rng(96)
+        cfg = lstm.TrainConfig(hidden_dim=2, epochs=2, sequence_length=3)
+        fitted = lstm.train_windows(
+            rng.uniform(0, 1, size=(2, 4, 3, 1)), rng.uniform(0, 1, size=(2, 4, 3)), cfg, [1, 2]
+        )
+        assert dtypes() == {np.dtype(np.float32)}
+        assert lstm.gradient_check(n_instances=1, seed=3).passed
+        assert dtypes() == {np.dtype(np.float64)}
+        assert np.isfinite(lstm.predict_windows(fitted, rng.uniform(0, 1, size=(2, 3, 1)))).all()
+        assert dtypes() == {np.dtype(np.float64)}
 
 
 class TestGradientCheck:
@@ -406,11 +489,13 @@ class TestGradientCheck:
 
 
 def manual_one_epoch(X, y, cfg):
-    """Independent spelling of one training epoch: init, per-sequence
-    BPTT, gradients summed across subsequences, global-norm clip, one
-    descent step."""
+    """Independent spelling of one training epoch in float64: init,
+    per-sequence BPTT, gradients summed across subsequences, global-norm
+    clip, one descent step.  It starts from the float32-rounded init,
+    inputs and targets that train_windows computes on.  Returns the
+    parameter vector after the step and the step."""
     n = X.shape[1]
-    d = cfg.hidden_dim
+    X, y = as_float32(X), as_float32(y)
     params = _init_from_seed(cfg, n, cfg.seed)
     L = cfg.sequence_length
     S = X.shape[0] - L + 1
@@ -422,8 +507,31 @@ def manual_one_epoch(X, y, cfg):
     g = np.sum(grads, axis=0)
     norm = float(np.sqrt(g @ g))
     scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0
-    theta = lstm.flatten_params(params) - cfg.learning_rate * scale * g
-    return lstm.unflatten_params(theta, n, d)
+    step = cfg.learning_rate * scale * g
+    return lstm.flatten_params(params) - step, step
+
+
+def assert_float32_step_matches(trained, X, y, cfg):
+    """One float32 training epoch against :func:`manual_one_epoch`.
+
+    Both start from the same float32 values, so they differ only by
+    float32 rounding.  The update rounds to float32: half an ulp of each
+    parameter.  The step carries the rounding of its float32 gradient, at
+    most eps/2 relative per operation on the longest path to a gradient
+    entry: L forward and L backward steps of fewer than
+    2 * (d + n + 1) + 8 * d + 20 operations each (the matmul sums over
+    d + n + 1 and 4d terms and the gate algebra), then one sum over the
+    S * L per-step terms.  The clip rescales the whole step, so that part
+    is bounded by the largest step entry.
+    """
+    theta, step = manual_one_epoch(X, y, cfg)
+    n = X.shape[1]
+    d, L = cfg.hidden_dim, cfg.sequence_length
+    S = X.shape[0] - L + 1
+    ops = 2 * L * (2 * (d + n + 1) + 8 * d + 20) + S * L
+    tolerance = EPS32 / 2 * (np.abs(theta) + ops * np.abs(step).max())
+    assert np.abs(step).max() > 1e-3
+    assert np.all(np.abs(lstm.flatten_params(trained) - theta) <= tolerance)
 
 
 class TestTraining:
@@ -443,11 +551,7 @@ class TestTraining:
         X = rng.uniform(0, 1, size=(11, 2))
         y = rng.uniform(0, 1, size=11)
         cfg = lstm.TrainConfig(hidden_dim=3, epochs=1, seed=77)
-        trained = lstm.lstm_train(X, y, cfg)
-        manual = manual_one_epoch(X, y, cfg)
-        np.testing.assert_allclose(
-            lstm.flatten_params(trained), lstm.flatten_params(manual), rtol=1e-12, atol=1e-13
-        )
+        assert_float32_step_matches(lstm.lstm_train(X, y, cfg), X, y, cfg)
 
     def test_one_epoch_matches_manual_route_with_clipping_active(self):
         # larger targets force a gradient norm above clip_norm
@@ -455,11 +559,9 @@ class TestTraining:
         X = rng.uniform(0, 1, size=(10, 1))
         y = rng.uniform(5, 9, size=10)
         cfg = lstm.TrainConfig(hidden_dim=2, epochs=1, clip_norm=0.5, seed=7)
-        trained = lstm.lstm_train(X, y, cfg)
-        manual = manual_one_epoch(X, y, cfg)
-        np.testing.assert_allclose(
-            lstm.flatten_params(trained), lstm.flatten_params(manual), rtol=1e-12, atol=1e-13
-        )
+        _, step = manual_one_epoch(X, y, cfg)
+        assert np.sqrt(step @ step) == pytest.approx(cfg.learning_rate * cfg.clip_norm)
+        assert_float32_step_matches(lstm.lstm_train(X, y, cfg), X, y, cfg)
 
     def test_batched_windows_match_solo_runs(self):
         rng = np.random.default_rng(41)
@@ -591,6 +693,32 @@ class TestTraining:
         with np.errstate(over="ignore", invalid="ignore"):
             fitted = lstm.train_windows(X, Y, cfg, [1, 2])
         assert fitted[0] is None
+        assert isinstance(fitted[1], lstm.LstmParams)
+
+    def test_finite_gradient_with_overflowing_float32_norm_trains(self):
+        # targets of 1e20 give a gradient that float32 holds but whose
+        # squared norm it cannot: the clip norm is accumulated in float64,
+        # so the window takes clipped steps instead of being masked
+        rng = np.random.default_rng(83)
+        X = rng.uniform(0, 1, size=(2, 6, 5, 1))
+        Y = rng.uniform(0, 1, size=(2, 6, 5))
+        Y[0] = 1e20
+        cfg = lstm.TrainConfig(hidden_dim=2, epochs=3, seed=4)
+        ws = lstm._Workspace(X[:1].astype(np.float32), cfg.hidden_dim)
+        init = _init_from_seed(cfg, n=1, seed=4)
+        lstm._forward(ws, *(a.astype(np.float32) for a in lstm._batched(init)))
+        grads = lstm._backward(
+            ws, np.ascontiguousarray(Y[:1].transpose(2, 0, 1), dtype=np.float32),
+            init.w_h[None].astype(np.float32), init.w_y[None].astype(np.float32),
+        )
+        assert all(np.isfinite(g).all() for g in grads)
+        norm = math.sqrt(sum(np.square(g, dtype=np.float64).sum() for g in grads))
+        assert norm > math.sqrt(np.finfo(np.float32).max)
+        fitted = lstm.train_windows(X, Y, cfg, [4, 5])
+        assert isinstance(fitted[0], lstm.LstmParams)
+        moved = lstm.flatten_params(fitted[0]) - lstm.flatten_params(init)
+        # three clipped steps of lr * clip_norm each
+        assert np.sqrt(moved @ moved) == pytest.approx(3 * cfg.learning_rate, rel=1e-3)
         assert isinstance(fitted[1], lstm.LstmParams)
 
     def test_divergence_raises_numeric_error(self):
