@@ -52,7 +52,6 @@ FEATURE_DTYPE = np.dtype([
     ("lag_r5", float),
     ("lag_r5_sq", float),
     ("vix_lag", float),
-    ("vix_sq_lag", float),
     ("dvix_lag", float),
     ("vrp_lag", float),
 ])
@@ -266,7 +265,7 @@ def build_feature_rows(series: DaySeries) -> np.ndarray:
 
     - ``r5`` = log P(m) - log P(m-4), the target;
     - ``lag_r5`` = log P(m-5) - log P(m-9), and ``lag_r5_sq`` its square;
-    - ``vix_lag`` = VIX(m-5) / VIX_INTRADAY_DENOM, and ``vix_sq_lag`` its square;
+    - ``vix_lag`` = VIX(m-5) / VIX_INTRADAY_DENOM;
     - ``dvix_lag`` = vix_lag minus the same rescaled VIX at m-6;
     - ``vrp_lag`` = (log P(m-5) - log P(m-6))**2 - vix_lag**2.
 
@@ -299,7 +298,6 @@ def build_feature_rows(series: DaySeries) -> np.ndarray:
             "lag_r5": lag_r5,
             "lag_r5_sq": lag_r5 * lag_r5,
             "vix_lag": vix_lag,
-            "vix_sq_lag": vix_lag * vix_lag,
             "dvix_lag": vix_lag - at(vix, 6),
             "vrp_lag": r1_lag * r1_lag - vix_lag * vix_lag,
         }

@@ -7,6 +7,9 @@ forecasts the test row's five-minute return.  Model fits never see the test
 row's target, scalers are fitted on training rows only, and every
 estimation seed is derived from (master seed, day, minute, model), so
 results are identical regardless of worker count or scheduling order.
+Each day's windows are gathered and scaled once for the whole roster, and
+every model reads its own columns of that stack, so a model's forecasts do
+not depend on which other models run beside it.
 """
 
 from __future__ import annotations
@@ -14,13 +17,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import enum
-import hashlib
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import List, Optional, Sequence, Tuple, Union
+from itertools import groupby
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,7 +40,7 @@ from .marketdata import (
     DaySeries,
     build_feature_rows,
 )
-from .scaling import fit_minmax, inverse_transform_target, transform
+from .scaling import MinMaxScaler, fit_minmax, inverse_transform_target, transform
 
 __all__ = [
     "TRAIN_WINDOW_MINUTES",
@@ -195,6 +198,10 @@ class PredictionRecord:
         return (self.day, self.minute, self.model, self.predictor_set)
 
 
+# store order: sort_key spelled as a fast key
+_STORE_ORDER = attrgetter("day", "minute", "model", "predictor_set")
+
+
 def _window_length(minutes):
     """Training rows in the window of a test row at each given minute."""
     return minutes - np.maximum(minutes - TRAIN_WINDOW_MINUTES, EARLIEST_FEATURE_MINUTE)
@@ -232,6 +239,9 @@ def schedule_day(rows: np.ndarray) -> np.ndarray:
 
 def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> int:
     """Stable per-window seed; hashing keeps parallel runs order-independent."""
+    # imported here: hashlib loads OpenSSL, and runs of unseeded models never hash
+    import hashlib
+
     tag = f"{master_seed}:{day.isoformat()}:{minute}:{model_key}"
     digest = hashlib.blake2s(tag.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
@@ -292,36 +302,50 @@ def _lstm_forecasts(spec: ModelSpec, X, y, lengths, x_test, seeds) -> np.ndarray
 
 
 # every non-naive family: (spec, X (W, 30, k), y (W, 30), lengths (W,),
-# x_test (W, k), seeds) -> (W,); window j's own rows are the last lengths[j]
+# x_test (W, k), seeds) -> (W,); window j's own rows are the last lengths[j];
+# seeds is None for a family that draws no random numbers
 _FORECASTS = {
     ModelFamily.OLS_BENCH: _ols_forecasts,
     ModelFamily.RF: _rf_forecasts,
     ModelFamily.LSTM: _lstm_forecasts,
 }
+_SEEDED_FAMILIES = (ModelFamily.RF, ModelFamily.LSTM)
 
 
-def _run_model(
-    rows: np.ndarray, tests: np.ndarray, spec: ModelSpec, master_seed: int
-) -> List[PredictionRecord]:
-    """One model over every scheduled test row, one record each in row order.
+class _DayStack(NamedTuple):
+    """One day's windows over the roster's feature columns, the target last.
 
-    A window whose inputs are not all finite is recorded as skipped, with
-    no naive forecast when a target is among them; the naive model needs
-    no fit. Every other window is scaled by its own training rows, all
-    windows in one call, and fitted with a seed derived from (master seed,
-    day, minute, model key); its forecast is mapped back to return units.
-    A window with no finite scaled form or a test predictor more than
-    MAX_EXTRAPOLATION training spans outside [0, 1], a fit that fails and a
-    forecast that is not finite fall back to the training-window mean.
+    Every (W, c) mask has one column per stack column; a model reads the
+    columns of its own predictors and the target.
     """
-    if not len(tests):
-        return []
-    day = rows["day"][0].item()
-    minutes = rows["minute"]
-    data = np.column_stack([rows[c] for c in spec.feature_columns + ("r5",)])
-    k = data.shape[1] - 1
-    test_minutes = minutes[tests].tolist()
-    lengths = _window_length(minutes[tests])
+
+    day: dt.date
+    minutes: List[int]  # the test minutes
+    columns: Dict[str, int]  # stack column of each feature name and of r5
+    lengths: np.ndarray  # (W,) training rows per window
+    y_true: List[float]
+    y_naive: np.ndarray  # (W,) the window mean, NaN where a target is not finite
+    finite: np.ndarray  # (W, c) the window's rows and test row are finite
+    fittable: Optional[np.ndarray]  # (W, c) finite, scaled finite, test row in range
+    scaler: Optional[MinMaxScaler]
+    scaled: Optional[np.ndarray]  # (W, 30, c)
+    x_test: Optional[np.ndarray]  # (W, c) the scaled test rows
+
+
+def _stack_day(rows: np.ndarray, tests: np.ndarray, roster: Sequence[ModelSpec]) -> _DayStack:
+    """Gather, mask and scale one day's windows once for every model in the roster.
+
+    The stack holds the union of the roster's feature columns, in roster
+    order, then the target r5. Min/max scaling works column by column, so a
+    model's columns sliced from the stack are bit for bit what scaling them
+    alone gives, and no model's forecasts depend on the rest of the roster.
+    Scaler statistics come from training rows only; the test rows are
+    mapped with those statistics and the test target's scaled value is
+    discarded. A roster of naive models alone scales nothing.
+    """
+    names = list(dict.fromkeys(c for spec in roster for c in spec.feature_columns)) + ["r5"]
+    data = np.column_stack([rows[c] for c in names])
+    lengths = _window_length(rows["minute"][tests])
     # every window as the 30 rows that end at its test row; a warm-up
     # window's missing rows repeat its first row, which moves no min or max
     gather = np.maximum(
@@ -330,48 +354,76 @@ def _run_model(
     windows = data[gather]
     test_rows = data[tests]
     finite = np.isfinite(windows).all(axis=1) & np.isfinite(test_rows)
-    usable = finite.all(axis=1)
-    # one window at a time: a mean along the stack's axis sums in another order
-    y_naive = np.array([
-        data[i - n:i, k].mean() if scored else math.nan
-        for i, n, scored in zip(tests.tolist(), lengths.tolist(), finite[:, k].tolist())
-    ])
-    y_hat, ok = y_naive, usable
-    if spec.family is not ModelFamily.NAIVE:
-        # scaler statistics come from training rows only; the test predictors
-        # are mapped with those statistics and the test target's scaled value
-        # is discarded
+    # each row of a contiguous (windows, n) stack sums in the order of its
+    # window's own mean, so one mean per window length gives the same bits
+    y_naive = np.full(len(tests), math.nan)
+    for n in np.unique(lengths).tolist():
+        j = np.flatnonzero((lengths == n) & finite[:, -1])
+        y_naive[j] = rows["r5"][tests[j, None] + np.arange(-n, 0)].mean(axis=1)
+    fittable = scaler = scaled = x_test = None
+    if any(spec.family is not ModelFamily.NAIVE for spec in roster):
         scaler = fit_minmax(windows)
         scaled = transform(scaler, windows)
-        x_test = transform(scaler, test_rows[:, None, :])[:, 0, :k]
+        x_test = transform(scaler, test_rows[:, None, :])[:, 0]
         in_range = (x_test >= -MAX_EXTRAPOLATION) & (x_test <= 1.0 + MAX_EXTRAPOLATION)
-        fit = usable & np.isfinite(scaled).all(axis=(1, 2)) & in_range.all(axis=1)
-        yhat_scaled = np.full(len(tests), math.nan)
-        j = np.flatnonzero(fit)
+        in_range[:, -1] = True  # no fit reads the scaled test target
+        fittable = finite & np.isfinite(scaled).all(axis=1) & in_range
+    return _DayStack(
+        day=rows["day"][0].item(),
+        minutes=rows["minute"][tests].tolist(),
+        columns={name: c for c, name in enumerate(names)},
+        lengths=lengths,
+        y_true=test_rows[:, -1].tolist(),
+        y_naive=y_naive,
+        finite=finite,
+        fittable=fittable,
+        scaler=scaler,
+        scaled=scaled,
+        x_test=x_test,
+    )
+
+
+def _run_model(stack: _DayStack, spec: ModelSpec, master_seed: int) -> List[PredictionRecord]:
+    """One model over every window of a day's stack, one record each in row order.
+
+    A window whose inputs are not all finite is recorded as skipped, with
+    no naive forecast when a target is among them; the naive model needs
+    no fit. Every other window is fitted on its scaled columns, with a seed
+    derived from (master seed, day, minute, model key) for the families
+    that draw random numbers; its forecast is mapped back to return units.
+    A window with no finite scaled form or a test predictor more than
+    MAX_EXTRAPOLATION training spans outside [0, 1], a fit that fails and a
+    forecast that is not finite fall back to the training-window mean.
+    """
+    cols = [stack.columns[c] for c in spec.feature_columns + ("r5",)]
+    usable = stack.finite[:, cols].all(axis=1)
+    y_hat, ok = stack.y_naive, usable
+    if spec.family is not ModelFamily.NAIVE:
+        k = len(cols) - 1
+        yhat_scaled = np.full(len(usable), math.nan)
+        j = np.flatnonzero(stack.fittable[:, cols].all(axis=1))
         if len(j):
-            seeds = [derive_seed(master_seed, day, test_minutes[i], spec.key) for i in j.tolist()]
+            scaled = np.take(stack.scaled, cols, axis=2)
+            seeds = None
+            if spec.family in _SEEDED_FAMILIES:
+                seeds = [
+                    derive_seed(master_seed, stack.day, stack.minutes[i], spec.key)
+                    for i in j.tolist()
+                ]
             yhat_scaled[j] = _FORECASTS[spec.family](
-                spec, scaled[j, :, :k], scaled[j, :, k], lengths[j], x_test[j], seeds
+                spec, scaled[j, :, :k], scaled[j, :, k], stack.lengths[j],
+                np.take(stack.x_test[j], cols[:k], axis=1), seeds,
             )
-        y_hat = inverse_transform_target(scaler, yhat_scaled, k)
+        y_hat = inverse_transform_target(stack.scaler, yhat_scaled, cols[k])
         # a degenerate target inverts to its constant whatever the forecast
         ok = np.isfinite(yhat_scaled) & np.isfinite(y_hat)
     status = np.where(ok, STATUS_OK, np.where(usable, STATUS_FALLBACK, STATUS_SKIPPED))
-    y_hat = np.where(ok, y_hat, np.where(usable, y_naive, math.nan))
+    y_hat = np.where(ok, y_hat, np.where(usable, stack.y_naive, math.nan))
+    day, model, predictor_set = stack.day, spec.model_id, spec.predictor_set_id
     return [
-        PredictionRecord(
-            day=day,
-            minute=minute,
-            model=spec.model_id,
-            predictor_set=spec.predictor_set_id,
-            y_true=y_true,
-            y_hat=forecast_value,
-            y_naive=naive,
-            status=state,
-        )
-        for minute, y_true, forecast_value, naive, state in zip(
-            test_minutes, test_rows[:, k].tolist(), y_hat.tolist(),
-            y_naive.tolist(), status.tolist(),
+        PredictionRecord(day, minute, model, predictor_set, y_true, forecast, naive, state)
+        for minute, y_true, forecast, naive, state in zip(
+            stack.minutes, stack.y_true, y_hat.tolist(), stack.y_naive.tolist(), status.tolist()
         )
     ]
 
@@ -395,11 +447,14 @@ def run_day(
     """
     roster = _check_roster(roster)
     tests = schedule_day(rows)
-    records: List[PredictionRecord] = []
-    for spec in roster:
-        records.extend(_run_model(rows, tests, spec, master_seed))
-    records.sort(key=lambda r: (r.minute, r.model, r.predictor_set))
-    return records
+    if not (len(tests) and roster):
+        return []
+    stack = _stack_day(rows, tests, roster)
+    # every model has one record per test row, so taking the models in
+    # (model, predictor set) order minute by minute gives the sorted day
+    roster = sorted(roster, key=lambda spec: (spec.model_id, spec.predictor_set_id))
+    per_model = [_run_model(stack, spec, master_seed) for spec in roster]
+    return [record for minute in zip(*per_model) for record in minute]
 
 
 def _run_series(
@@ -430,12 +485,18 @@ def run_sample(
     if workers == 1 or len(days) == 1:
         chunks = [job(series) for series in days]
     else:
+        # imported here: the pool machinery costs a serial run's start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(days))) as pool:
             chunks = list(pool.map(job, days))
     records = [record for chunk in chunks for record in chunk]
-    records.sort(key=lambda r: r.sort_key)
+    records.sort(key=_STORE_ORDER)
     return records
 
+
+# the characters csv would quote a field for
+_QUOTED = ',"\r\n'
 
 STORE_COLUMNS = (
     "date",
@@ -453,30 +514,29 @@ def write_store(records: Sequence[PredictionRecord], path) -> None:
     """Write records as CSV in store order.
 
     Floats are written with repr so reading the file back reproduces every
-    value bit for bit.
+    value bit for bit. No field is ever quoted: a model or predictor id
+    holding a comma, a double quote or a line break raises ConfigError.
     """
-    ordered = sorted(records, key=lambda r: r.sort_key)
+    ordered = sorted(records, key=_STORE_ORDER)
+    for ids in {(r.model, r.predictor_set) for r in ordered}:
+        for text in ids:
+            if any(c in text for c in _QUOTED):
+                raise ConfigError(f"store ids cannot hold {_QUOTED!r}: {text!r}")
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(STORE_COLUMNS)
-        for r in ordered:
-            writer.writerow(
-                [
-                    r.day.isoformat(),
-                    r.minute,
-                    r.model,
-                    r.predictor_set,
-                    repr(float(r.y_true)),
-                    repr(float(r.y_hat)),
-                    repr(float(r.y_naive)),
-                    r.status,
-                ]
+        handle.write(",".join(STORE_COLUMNS) + "\n")
+        for day, group in groupby(ordered, key=attrgetter("day")):
+            date = day.isoformat()
+            handle.writelines(
+                f"{date},{r.minute},{r.model},{r.predictor_set},{float(r.y_true)!r},"
+                f"{float(r.y_hat)!r},{float(r.y_naive)!r},{r.status}\n"
+                for r in group
             )
 
 
 def read_store(path) -> List[PredictionRecord]:
     """Read a prediction store back into records."""
     records = []
+    dates = {}
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -488,9 +548,12 @@ def read_store(path) -> List[PredictionRecord]:
                     f"line {lineno}: expected {len(STORE_COLUMNS)} fields, got {len(fields)}"
                 )
             try:
+                day = dates.get(fields[0])
+                if day is None:
+                    day = dates[fields[0]] = dt.date.fromisoformat(fields[0])
                 records.append(
                     PredictionRecord(
-                        day=dt.date.fromisoformat(fields[0]),
+                        day=day,
                         minute=int(fields[1]),
                         model=fields[2],
                         predictor_set=fields[3],

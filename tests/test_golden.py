@@ -31,7 +31,7 @@ from minutecast.marketdata import (
 DAYS = (dt.date(2020, 3, 2), dt.date(2020, 3, 3))
 LAST_MINUTE = 130  # 11:40: 90 windows on a gapless day keep the run short
 CONSTANT_VIX = range(60, 101)  # day 1: vix_lag constant over rows 65..105
-HUGE_VIX_MINUTE = 120  # day 1: vix_lag 1.7e197, vix_sq_lag and vrp_lag overflow
+HUGE_VIX_MINUTE = 120  # day 1: vix_lag 1.7e197, vrp_lag overflows
 GAP = range(70, 73)  # day 2: three missing bars
 
 RUN_CONFIG = """

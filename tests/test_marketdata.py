@@ -61,8 +61,7 @@ def oracle_feature_rows(series):
             continue
         rows.append(dict(
             minute=m, r5=r5, lag_r5=lag_r5, lag_r5_sq=lag_r5 * lag_r5,
-            vix_lag=vix_lag, vix_sq_lag=vix_lag * vix_lag,
-            dvix_lag=dvix_lag, vrp_lag=vrp_lag,
+            vix_lag=vix_lag, dvix_lag=dvix_lag, vrp_lag=vrp_lag,
         ))
     return rows
 
@@ -352,7 +351,6 @@ class TestBuildFeatureRows:
             assert r["lag_r5"] == pytest.approx(math.log(price[m - 5] / price[m - 9]), abs=1e-15)
             assert r["lag_r5_sq"] == r["lag_r5"] * r["lag_r5"]
             assert r["vix_lag"] == vix[m - 5]
-            assert r["vix_sq_lag"] == r["vix_lag"] * r["vix_lag"]
             assert r["dvix_lag"] == pytest.approx(vix[m - 5] - vix[m - 6], abs=1e-18)
             r1 = math.log(price[m - 5] / price[m - 6])
             assert r["vrp_lag"] == pytest.approx(r1 * r1 - vix[m - 5] ** 2, abs=1e-15)

@@ -7,6 +7,7 @@ The stacking oracle scales, fits and forecasts one window at a time,
 through the per-window triples that one stack per window length replaced.
 """
 
+import csv
 import dataclasses
 import datetime as dt
 import math
@@ -507,6 +508,108 @@ class TestRunDay:
         assert all(r.status == "ok" for r in records)
         assert records == rolling.run_day(rows, [spec], master_seed=4)
 
+    def test_model_records_do_not_depend_on_roster(self):
+        # every model reads its own columns of one stack scaled for the whole
+        # roster; one VIX bar at 1e200 makes vrp_lag -inf, so vrp and agg
+        # windows that touch it are skipped while ar1 windows are scored
+        series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY)
+        bars = [dataclasses.replace(b, vix_annual=1e200) if b.minute == 80 else b
+                for b in series.bars]
+        rows = minutes_between(md.build_feature_rows(md.DaySeries.from_bars(DAY, bars)), 19, 130)
+        roster = [rolling.ModelSpec.naive()] + [
+            rolling.ModelSpec.ols(which) for which in rolling.OLS_BENCHMARKS
+        ] + [
+            rolling.ModelSpec.lstm("agg", TrainConfig(hidden_dim=2, epochs=2)),
+            rolling.ModelSpec.rf("agg", ForestConfig(n_trees=3)),
+        ]
+        def text(records):  # repr, so that NaN matches NaN
+            return [tuple(map(repr, dataclasses.astuple(r))) for r in records]
+
+        full = rolling.run_day(rows, roster, master_seed=6)
+        assert len(full) == len(roster) * (130 - 41 + 1)
+        for spec in roster:
+            alone = rolling.run_day(rows, [spec], master_seed=6)
+            assert text(alone) == text(
+                r for r in full
+                if r.model == spec.model_id and r.predictor_set == spec.predictor_set_id
+            ), spec.key
+        statuses = {}
+        for r in full:
+            statuses.setdefault(r.model, set()).add(r.status)
+        assert statuses["ols-ar1"] == {"ok"}
+        for model in ("ols-vrp", "lstm", "rf"):
+            assert "skipped" in statuses[model], model
+
+
+class TestNaiveAndSeeds:
+    """The naive means computed once per day and the seeds drawn only where used."""
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_naive_is_each_window_mean_bit_for_bit(self, seed):
+        rows = drop_minutes(day_rows(seed), {60, 200, 201})
+        # targets of mixed signs and scales, which a change of summation
+        # order would round differently
+        rng = np.random.default_rng(seed)
+        rows["r5"] = rng.normal(size=len(rows)) * 10.0 ** rng.integers(-6, 0, len(rows))
+        records = rolling.run_day(rows, [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix")])
+        naive = [r for r in records if r.model == "naive"]
+        tests = rolling.schedule_day(rows)
+        assert [r.minute for r in naive] == rows["minute"][tests].tolist()
+        lengths = set()
+        for record, i in zip(naive, tests.tolist()):
+            start = window_start(rows, i)
+            lengths.add(i - start)
+            assert repr(record.y_naive) == repr(float(rows["r5"][start:i].mean()))
+        assert lengths == set(range(22, 31))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_naive_is_nan_on_a_non_finite_target(self, bad):
+        rows = day_rows().copy()
+        i = row_of(rows, 100)
+        rows["r5"][i] = bad
+        records = {r.minute: r for r in rolling.run_day(rows, [rolling.ModelSpec.naive()])}
+        # minute 100 is the test target of its own window and a training
+        # target of the next 30; minute 131 is clear of it
+        for minute in range(100, 131):
+            assert math.isnan(records[minute].y_naive), minute
+            assert records[minute].status == "skipped"
+        assert math.isnan(records[100].y_hat)
+        for minute in (99, 131):
+            i = row_of(rows, minute)
+            assert records[minute].y_naive == rows["r5"][i - 30:i].mean()
+            assert records[minute].status == "ok"
+
+    def count_seeds(self, monkeypatch):
+        calls = []
+        derive_seed = rolling.derive_seed
+
+        def counted(master_seed, day, minute, model_key):
+            calls.append((minute, model_key))
+            return derive_seed(master_seed, day, minute, model_key)
+
+        monkeypatch.setattr(rolling, "derive_seed", counted)
+        return calls
+
+    def test_no_seed_for_naive_and_ols(self, monkeypatch):
+        calls = self.count_seeds(monkeypatch)
+        roster = [rolling.ModelSpec.naive()] + [
+            rolling.ModelSpec.ols(which) for which in rolling.OLS_BENCHMARKS
+        ]
+        records = rolling.run_day(minutes_between(day_rows(), 19, 90), roster)
+        assert any(r.status == "ok" and r.model.startswith("ols") for r in records)
+        assert calls == []
+
+    def test_one_seed_per_fitted_rf_window(self, monkeypatch):
+        calls = self.count_seeds(monkeypatch)
+        rows = minutes_between(day_rows(), 19, 90).copy()
+        # a NaN predictor skips the windows that touch it, before any fit
+        rows["vix_lag"][row_of(rows, 80)] = math.nan
+        spec = rolling.ModelSpec.rf("vix", ForestConfig(n_trees=2))
+        records = rolling.run_day(rows, [rolling.ModelSpec.naive(), spec], master_seed=2)
+        fitted = [r.minute for r in records if r.model == "rf" and r.status != "skipped"]
+        assert 0 < len(fitted) < 90 - 41 + 1
+        assert calls == [(minute, spec.key) for minute in fitted]
+
 
 def oracle_prepare(window, test, spec):
     """The per-window preparation that stacked scaling replaced, kept as the oracle.
@@ -844,6 +947,45 @@ class TestStore:
             handle.write("2021-03-01,41,naive,none,abc,0.1,0.1,ok\n")
         with pytest.raises(ParseError):
             rolling.read_store(path)
+
+    @pytest.mark.parametrize("bad", ["ols,vix", 'ols"vix', "ols\nvix", "ols\rvix"])
+    @pytest.mark.parametrize("field", ["model", "predictor_set"])
+    def test_writer_rejects_ids_csv_would_quote(self, tmp_path, field, bad):
+        record = dataclasses.replace(self.records()[0], **{field: bad})
+        path = tmp_path / "store.csv"
+        with pytest.raises(ConfigError):
+            rolling.write_store([record], path)
+        assert not path.exists()
+
+    def test_writer_matches_csv_module(self, tmp_path):
+        # every id a ModelSpec can produce, with floats csv might treat specially
+        specs = [rolling.ModelSpec.naive()] + [
+            rolling.ModelSpec.ols(which) for which in rolling.OLS_BENCHMARKS
+        ] + [
+            make(which) for make in (rolling.ModelSpec.lstm, rolling.ModelSpec.rf)
+            for which in rolling.PREDICTOR_SETS
+        ]
+        values = [0.5, -0.0, math.nan, math.inf, -math.inf, 1e-300, 5e-324, -1.25e17]
+        records = [
+            rolling.PredictionRecord(
+                DAY + dt.timedelta(days=d), 41 + m, spec.model_id, spec.predictor_set_id,
+                values[m % 8], values[(m + 3) % 8], np.float64(values[(m + 5) % 8]),
+                ("ok", "fallback", "skipped")[m % 3],
+            )
+            for d in range(2) for m in range(10) for spec in specs
+        ]
+        path = tmp_path / "store.csv"
+        rolling.write_store(records, path)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(rolling.STORE_COLUMNS)
+            for r in sorted(records, key=lambda r: r.sort_key):
+                writer.writerow([
+                    r.day.isoformat(), r.minute, r.model, r.predictor_set, repr(float(r.y_true)),
+                    repr(float(r.y_hat)), repr(float(r.y_naive)), r.status,
+                ])
+        assert path.read_bytes() == expected.read_bytes()
 
     def test_status_validation_on_record(self):
         with pytest.raises(ConfigError):
