@@ -522,6 +522,7 @@ class TestRunDay:
             rolling.ModelSpec.lstm("agg", TrainConfig(hidden_dim=2, epochs=2)),
             rolling.ModelSpec.rf("agg", ForestConfig(n_trees=3)),
         ]
+
         def text(records):  # repr, so that NaN matches NaN
             return [tuple(map(repr, dataclasses.astuple(r))) for r in records]
 
