@@ -21,8 +21,10 @@ from minutecast.marketdata import (
 def main():
     day = dt.date(2021, 6, 1)
     series = generate_synthetic_day(SynthParams(n_days=1, seed=14), day)
+    # the day's bars are one table too: a row per minute, columns minute, spy_price, vix
+    minutes = series.bars["minute"].tolist()
     print(f"synthetic session for {day}: {len(series.bars)} bars, "
-          f"{minute_to_time(series.bars[0].minute)} .. {minute_to_time(series.bars[-1].minute)}")
+          f"{minute_to_time(minutes[0])} .. {minute_to_time(minutes[-1])}")
 
     table = build_feature_rows(series)
     first = int(table["minute"][0])
@@ -43,8 +45,9 @@ def main():
 
     # recompute r5 straight from the bars to show there is no magic; the
     # table takes each log with math.log, so the two agree exactly
-    p_now = series.bars[m - SESSION_START_MINUTE].spy_price
-    p_then = series.bars[m - 4 - SESSION_START_MINUTE].spy_price
+    prices = series.bars["spy_price"].tolist()
+    p_now = prices[m - SESSION_START_MINUTE]
+    p_then = prices[m - 4 - SESSION_START_MINUTE]
     by_hand = math.log(p_now) - math.log(p_then)
     print(f"\nby hand: log({p_now:.4f}) - log({p_then:.4f}) = {by_hand: .3e}")
     assert by_hand == row["r5"]

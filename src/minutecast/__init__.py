@@ -20,9 +20,9 @@ from .forest import Forest, ForestConfig, rf_fit, rf_predict
 from .linear import OlsFit, ols_fit, ols_predict
 from .lstm import GradCheckReport, LstmParams, TrainConfig, gradient_check, lstm_predict, lstm_train
 from .marketdata import (
+    BAR_DTYPE,
     FEATURE_DTYPE,
     DaySeries,
-    MinuteBar,
     SynthParams,
     build_feature_rows,
     business_days,
@@ -61,7 +61,7 @@ __all__ = [
     "ShapeError",
     "NumericError",
     "FitError",
-    "MinuteBar",
+    "BAR_DTYPE",
     "DaySeries",
     "FEATURE_DTYPE",
     "SynthParams",

@@ -253,15 +253,9 @@ def _write_bars(days, path) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for series in days:
-            for bar in series.bars:
-                writer.writerow(
-                    [
-                        bar.day.isoformat(),
-                        minute_to_time(bar.minute),
-                        repr(float(bar.spy_price)),
-                        repr(float(bar.vix_annual)),
-                    ]
-                )
+            day = series.day.isoformat()
+            for minute, price, vix in series.bars.tolist():
+                writer.writerow([day, minute_to_time(minute), repr(price), repr(vix)])
 
 
 def cmd_synth(config: RunConfig, out_path: str) -> int:

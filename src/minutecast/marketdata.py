@@ -5,10 +5,12 @@ session keeps 09:40 through 15:50 inclusive (indices 10..380, 371 minutes);
 the first and last ten minutes of the trading day are excluded because open
 and close prints carry missing or repeated values.
 
-A day's features form one table (a structured array of FEATURE_DTYPE), one
-row per minute whose bars all exist. No predictor overlaps the target span:
-the target is the five-minute log return ending at minute m, and every
-predictor references minutes m-5 and earlier.
+A day's bars form one table (a structured array of BAR_DTYPE), one row per
+in-session minute that has a bar, in ascending minute order. Its features
+form another (FEATURE_DTYPE), one row per minute whose bars all exist. No
+predictor overlaps the target span: the target is the five-minute log
+return ending at minute m, and every predictor references minutes m-5 and
+earlier.
 """
 
 from __future__ import annotations
@@ -42,6 +44,14 @@ MIN_USABLE_MINUTES = 40
 CSV_HEADER = ("date", "time", "spy_price", "vix")
 
 _BASE_MINUTE_OF_DAY = 9 * 60 + 30  # 09:30
+
+# One bar-table row: a session minute, its SPY price and its annualized VIX
+# (percent, as quoted).
+BAR_DTYPE = np.dtype([
+    ("minute", np.intp),
+    ("spy_price", float),
+    ("vix", float),
+])
 
 # One feature-table row: its day and minute, the target r5 and the lagged
 # predictors (see build_feature_rows for each column's definition).
@@ -88,47 +98,33 @@ def bar_value_errors(spy_price: float, vix: float) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True, slots=True)
-class MinuteBar:
-    day: dt.date
-    minute: int
-    spy_price: float
-    vix_annual: float
-
-    def __post_init__(self):
-        problems = bar_value_errors(self.spy_price, self.vix_annual)
-        if problems:
-            raise DataError(problems[0])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DaySeries:
-    """One day's session-filtered bars, ordered by minute, no duplicates.
+    """One day's session-filtered bars: a BAR_DTYPE table, minutes strictly ascending.
 
-    ``has_gaps`` is set when any minute of the full session is absent; the
-    gap policy downstream is suppression of dependent feature rows, never
-    imputation.
+    Absent minutes are gaps; the gap policy downstream is suppression of
+    dependent feature rows, never imputation.
     """
 
     day: dt.date
-    bars: tuple[MinuteBar, ...]
-    has_gaps: bool
+    bars: np.ndarray
 
     def __post_init__(self):
-        last = None
-        for bar in self.bars:
-            if not (SESSION_START_MINUTE <= bar.minute <= SESSION_END_MINUTE):
-                raise DataError(
-                    f"bar at minute {bar.minute} outside session on {self.day}"
-                )
-            if last is not None and bar.minute <= last:
-                raise DataError(f"bars out of order on {self.day} at minute {bar.minute}")
-            last = bar.minute
-
-    @classmethod
-    def from_bars(cls, day: dt.date, bars) -> "DaySeries":
-        bars = tuple(sorted(bars, key=lambda b: b.minute))
-        return cls(day=day, bars=bars, has_gaps=len(bars) < SESSION_MINUTES)
+        minute, price, vix = self.bars["minute"], self.bars["spy_price"], self.bars["vix"]
+        bad = ~((0.0 < price) & (price < math.inf) & (0.0 <= vix) & (vix < math.inf))
+        if bad.any():
+            i = bad.argmax()
+            raise DataError(bar_value_errors(float(price[i]), float(vix[i]))[0])
+        outside = (minute < SESSION_START_MINUTE) | (minute > SESSION_END_MINUTE)
+        if outside.any():
+            raise DataError(
+                f"bar at minute {minute[outside.argmax()]} outside session on {self.day}"
+            )
+        backwards = np.diff(minute) <= 0
+        if backwards.any():
+            raise DataError(
+                f"bars out of order on {self.day} at minute {minute[backwards.argmax() + 1]}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,13 +160,14 @@ class SynthParams:
 class BarScan:
     """What one pass over a bar CSV found.
 
-    ``by_day`` holds each day's in-session bars in file order, leaving out
+    ``by_day`` holds each day's in-session ``(minute, spy_price, vix)``
+    tuples in file order, so in ascending minute order, leaving out
     rows with errors in their values. ``errors`` holds one ``"line N: ..."``
     message per problem, in file order; the file is usable exactly when it
     is empty. ``n_rows`` counts the non-blank rows after the header.
     """
 
-    by_day: dict[dt.date, list[MinuteBar]] = field(default_factory=dict)
+    by_day: dict[dt.date, list[tuple[int, float, float]]] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
     n_rows: int = 0
     out_of_session: int = 0
@@ -223,7 +220,7 @@ def scan_bars(path) -> BarScan:
             problems = bar_value_errors(price, vix)
             scan.errors.extend(f"line {lineno}: {p}" for p in problems)
             if not problems:
-                scan.by_day.setdefault(day, []).append(MinuteBar(day, minute, price, vix))
+                scan.by_day.setdefault(day, []).append((minute, price, vix))
     return scan
 
 
@@ -249,7 +246,7 @@ def load_minute_bars(path) -> list[DaySeries]:
                 day, len(bars), MIN_USABLE_MINUTES,
             )
             continue
-        days.append(DaySeries.from_bars(day, bars))
+        days.append(DaySeries(day, np.array(bars, BAR_DTYPE)))
     return days
 
 
@@ -276,11 +273,11 @@ def build_feature_rows(series: DaySeries) -> np.ndarray:
     present = np.zeros(SESSION_MINUTES, dtype=bool)
     log_price = np.zeros(SESSION_MINUTES)
     vix = np.zeros(SESSION_MINUTES)
-    slots = [bar.minute - SESSION_START_MINUTE for bar in series.bars]
+    slots = series.bars["minute"] - SESSION_START_MINUTE
     present[slots] = True
     # math.log per bar: np.log can round a price's log one ulp differently
-    log_price[slots] = [math.log(bar.spy_price) for bar in series.bars]
-    vix[slots] = [bar.vix_annual for bar in series.bars]
+    log_price[slots] = [math.log(p) for p in series.bars["spy_price"].tolist()]
+    vix[slots] = series.bars["vix"]
     vix /= VIX_INTRADAY_DENOM
 
     def at(values, lag):
@@ -336,6 +333,16 @@ def _log_vix_path(params: SynthParams, innovations) -> np.ndarray:
     return path
 
 
+def _session_day(day: dt.date, log_price, log_vix) -> DaySeries:
+    """A gapless day from log price (around 100) and log VIX paths, one value per minute."""
+    bars = np.empty(SESSION_MINUTES, BAR_DTYPE)
+    bars["minute"] = np.arange(SESSION_START_MINUTE, SESSION_END_MINUTE + 1)
+    # math.exp per value: np.exp can round one ulp differently
+    bars["spy_price"] = [100.0 * math.exp(x) for x in log_price]
+    bars["vix"] = [math.exp(x) for x in log_vix]
+    return DaySeries(day, bars)
+
+
 def _day_rng(params: SynthParams, day: dt.date, stream: int = 0):
     return np.random.default_rng(
         np.random.SeedSequence(entropy=(params.seed, day.toordinal(), stream))
@@ -353,16 +360,7 @@ def generate_synthetic_day(params: SynthParams, day: dt.date) -> DaySeries:
     ret_innov, vix_innov = _correlated_innovations(rng, n, params.leverage_corr)
     log_price = params.return_vol * np.cumsum(ret_innov)
     log_vix = _log_vix_path(params, vix_innov)
-    bars = [
-        MinuteBar(
-            day=day,
-            minute=SESSION_START_MINUTE + t,
-            spy_price=100.0 * math.exp(log_price[t]),
-            vix_annual=math.exp(log_vix[t]),
-        )
-        for t in range(n)
-    ]
-    return DaySeries(day=day, bars=tuple(bars), has_gaps=False)
+    return _session_day(day, log_price, log_vix)
 
 
 def generate_affine_signal_day(
@@ -400,16 +398,7 @@ def generate_affine_signal_day(
     for t in range(5, n):
         log_price[t] = log_price[t - 4] + signal[t] + noise[t]
 
-    bars = [
-        MinuteBar(
-            day=day,
-            minute=SESSION_START_MINUTE + t,
-            spy_price=100.0 * math.exp(log_price[t]),
-            vix_annual=math.exp(log_vix[t]),
-        )
-        for t in range(n)
-    ]
-    return DaySeries(day=day, bars=tuple(bars), has_gaps=False)
+    return _session_day(day, log_price, log_vix)
 
 
 def business_days(start: dt.date, count: int) -> list[dt.date]:

@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .rolling import STATUS_FALLBACK, STATUS_OK, PredictionRecord
+from .rolling import STATUS_FALLBACK, STATUS_OK, STATUS_SKIPPED, PredictionRecord
 
 __all__ = [
     "DailyMetrics",
@@ -262,7 +262,7 @@ def compute_daily_metrics(records: Sequence[PredictionRecord]) -> List[DailyMetr
         statuses = [r.status for r in group]
         n_ok = statuses.count(STATUS_OK)
         n_fallback = statuses.count(STATUS_FALLBACK)
-        n_skipped = statuses.count("skipped")
+        n_skipped = statuses.count(STATUS_SKIPPED)
         if n_ok + n_fallback == 0:
             excluded += 1
             continue

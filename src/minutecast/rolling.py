@@ -193,13 +193,9 @@ class PredictionRecord:
         if self.status not in _STATUSES:
             raise ConfigError(f"unknown record status: {self.status!r}")
 
-    @property
-    def sort_key(self):
-        return (self.day, self.minute, self.model, self.predictor_set)
 
-
-# store order: sort_key spelled as a fast key
-_STORE_ORDER = attrgetter("day", "minute", "model", "predictor_set")
+# the store's record order, as a sort key
+STORE_ORDER = attrgetter("day", "minute", "model", "predictor_set")
 
 
 def _window_length(minutes):
@@ -491,7 +487,7 @@ def run_sample(
         with ProcessPoolExecutor(max_workers=min(workers, len(days))) as pool:
             chunks = list(pool.map(job, days))
     records = [record for chunk in chunks for record in chunk]
-    records.sort(key=_STORE_ORDER)
+    records.sort(key=STORE_ORDER)
     return records
 
 
@@ -517,7 +513,7 @@ def write_store(records: Sequence[PredictionRecord], path) -> None:
     value bit for bit. No field is ever quoted: a model or predictor id
     holding a comma, a double quote or a line break raises ConfigError.
     """
-    ordered = sorted(records, key=_STORE_ORDER)
+    ordered = sorted(records, key=STORE_ORDER)
     for ids in {(r.model, r.predictor_set) for r in ordered}:
         for text in ids:
             if any(c in text for c in _QUOTED):

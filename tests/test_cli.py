@@ -154,7 +154,6 @@ class TestSynth:
         days = load_minute_bars(out)
         assert len(days) == 2
         assert all(len(d.bars) == 371 for d in days)
-        assert all(not d.has_gaps for d in days)
 
     def test_seed_changes_content(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -4,7 +4,6 @@ The feature oracle is the per-minute builder that the day table replaced:
 it looks each bar up by minute and computes one row at a time.
 """
 
-import dataclasses
 import datetime as dt
 import math
 
@@ -18,12 +17,21 @@ from minutecast.errors import DataError, ParseError
 DAY = dt.date(2012, 3, 5)
 
 
+def bar_table(prices, vixes, start=md.SESSION_START_MINUTE):
+    bars = np.zeros(len(prices), md.BAR_DTYPE)
+    bars["minute"] = np.arange(start, start + len(prices))
+    bars["spy_price"] = prices
+    bars["vix"] = vixes
+    return bars
+
+
 def series_from_values(prices, vixes, start=md.SESSION_START_MINUTE, day=DAY):
-    bars = [
-        md.MinuteBar(day=day, minute=start + i, spy_price=p, vix_annual=v)
-        for i, (p, v) in enumerate(zip(prices, vixes))
-    ]
-    return md.DaySeries.from_bars(day, bars)
+    return md.DaySeries(day, bar_table(prices, vixes, start))
+
+
+def without_minutes(series, minutes):
+    """The same day with the bars at `minutes` left out."""
+    return md.DaySeries(series.day, series.bars[~np.isin(series.bars["minute"], list(minutes))])
 
 
 def constant_series(price=100.0, vix=18.0, day=DAY):
@@ -40,13 +48,14 @@ def column_at(series, name, minute):
 
 def oracle_feature_rows(series):
     """The per-minute feature builder, one dict per row whose bars all exist."""
-    by_minute = {bar.minute: bar for bar in series.bars}
+    price = {m: p for m, p, _ in series.bars.tolist()}
+    vix = {m: v for m, _, v in series.bars.tolist()}
 
     def log_return(m, span):
-        return math.log(by_minute[m].spy_price) - math.log(by_minute[m - span].spy_price)
+        return math.log(price[m]) - math.log(price[m - span])
 
     def vix_to_intraday(m):
-        return by_minute[m].vix_annual / md.VIX_INTRADAY_DENOM
+        return vix[m] / md.VIX_INTRADAY_DENOM
 
     rows = []
     for m in range(md.SESSION_START_MINUTE + md.MAX_FEATURE_LAG, md.SESSION_END_MINUTE + 1):
@@ -80,11 +89,9 @@ def gappy_days(draw):
     first = draw(minutes)
     missing |= set(range(first, first + draw(st.integers(0, 40))))
     huge = draw(st.none() | minutes)  # its squared intraday VIX overflows
-    bars = [
-        dataclasses.replace(b, vix_annual=1e200) if b.minute == huge else b
-        for b in series.bars if b.minute not in missing
-    ]
-    return md.DaySeries.from_bars(DAY, bars)
+    if huge is not None:
+        series.bars["vix"][series.bars["minute"] == huge] = 1e200
+    return without_minutes(series, missing)
 
 
 # math.log(99.92155797156265) == 4.604385457885143, while np.log on numpy
@@ -136,18 +143,16 @@ class TestLoadMinuteBars:
         days = md.load_minute_bars(self.write(tmp_path, rows))
         assert [d.day.isoformat() for d in days] == ["2012-03-05", "2012-03-06", "2012-03-07"]
         for d in days:
-            assert len(d.bars) == md.SESSION_MINUTES
-            assert not d.has_gaps
-            assert all(
-                md.SESSION_START_MINUTE <= b.minute <= md.SESSION_END_MINUTE
-                for b in d.bars
+            assert d.bars.dtype == md.BAR_DTYPE
+            assert d.bars["minute"].tolist() == list(
+                range(md.SESSION_START_MINUTE, md.SESSION_END_MINUTE + 1)
             )
 
     def test_out_of_session_bar_dropped(self, tmp_path):
         rows = ["2012-03-05,09:35,99.0,18.0"] + self.full_day_rows()
         days = md.load_minute_bars(self.write(tmp_path, rows))
         assert len(days) == 1
-        assert days[0].bars[0].minute == md.SESSION_START_MINUTE
+        assert days[0].bars["minute"][0] == md.SESSION_START_MINUTE
 
     def test_duplicate_minute_rejected(self, tmp_path):
         rows = self.full_day_rows()
@@ -203,6 +208,28 @@ class TestLoadMinuteBars:
         assert any("2012-03-06" in r.message for r in caplog.records)
 
 
+class TestDaySeries:
+    @pytest.mark.parametrize("column, index, value, message", [
+        ("minute", 0, md.SESSION_START_MINUTE - 1, "outside session"),
+        ("minute", 2, md.SESSION_END_MINUTE + 1, "outside session"),
+        ("minute", 1, 20, "out of order on 2012-03-05 at minute 20"),  # repeats minute 20
+        ("minute", 2, 19, "out of order on 2012-03-05 at minute 19"),  # runs backwards
+        ("spy_price", 1, math.nan, "spy_price must be finite and positive, got nan"),
+        ("spy_price", 1, math.inf, "spy_price must be finite and positive, got inf"),
+        ("spy_price", 1, 0.0, "spy_price must be finite and positive, got 0.0"),
+        ("vix", 1, -1.0, "vix must be finite and non-negative, got -1.0"),
+        ("vix", 1, math.nan, "vix must be finite and non-negative, got nan"),
+        ("vix", 1, math.inf, "vix must be finite and non-negative, got inf"),
+    ], ids=["early-minute", "late-minute", "repeated-minute", "backwards-minute", "nan-price",
+            "inf-price", "zero-price", "negative-vix", "nan-vix", "inf-vix"])
+    def test_invariant_violation_raises(self, column, index, value, message):
+        bars = bar_table([100.0] * 3, [18.0] * 3, start=20)
+        md.DaySeries(DAY, bars.copy())  # the unchanged table is a valid day
+        bars[column][index] = value
+        with pytest.raises(DataError, match=message):
+            md.DaySeries(DAY, bars)
+
+
 class TestLogReturn5Min:
     def test_constant_price_is_zero(self):
         table = md.build_feature_rows(constant_series())
@@ -219,7 +246,7 @@ class TestLogReturn5Min:
     def test_telescoping_identity(self):
         params = md.SynthParams(n_days=1, seed=11)
         series = md.generate_synthetic_day(params, DAY)
-        log_price = {b.minute: math.log(b.spy_price) for b in series.bars}
+        log_price = {m: math.log(p) for m, p, _ in series.bars.tolist()}
         table = md.build_feature_rows(series)
         for m, r5, lag_r5 in zip(table["minute"][:40], table["r5"], table["lag_r5"]):
             one_minute = sum(log_price[j] - log_price[j - 1] for j in range(m - 3, m + 1))
@@ -229,8 +256,7 @@ class TestLogReturn5Min:
 
     def test_missing_bar_signals(self):
         # minutes 10..21 minus 16: rows 20 and 21 need bar 16, row 19 does not
-        bars = series_from_values([100.0] * 12, [18.0] * 12).bars
-        series = md.DaySeries.from_bars(DAY, [b for b in bars if b.minute != 16])
+        series = without_minutes(series_from_values([100.0] * 12, [18.0] * 12), [16])
         assert md.build_feature_rows(series)["minute"].tolist() == [19]
 
 
@@ -250,11 +276,6 @@ class TestVixToIntraday:
     def test_denominator_maps_to_one(self):
         assert short_day_vix_lags(md.VIX_INTRADAY_DENOM)[0] == pytest.approx(1.0, abs=1e-12)
         assert short_day_vix_lags(602.3946)[0] == pytest.approx(1.0, abs=1e-5)
-
-    def test_negative_rejected(self):
-        # a negative VIX never becomes a bar, so no feature is built from one
-        with pytest.raises(DataError):
-            md.MinuteBar(day=DAY, minute=20, spy_price=100.0, vix_annual=-1.0)
 
     @settings(deadline=None)
     @given(st.floats(min_value=0.0, max_value=1e3), st.floats(min_value=0.0, max_value=50.0))
@@ -325,8 +346,8 @@ class TestBuildFeatureRows:
     def test_missing_bar_suppresses_dependents(self):
         full = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY)
         m0 = 200
-        gappy = md.DaySeries.from_bars(DAY, [b for b in full.bars if b.minute != m0])
-        assert gappy.has_gaps
+        gappy = without_minutes(full, [m0])
+        assert len(gappy.bars) == md.SESSION_MINUTES - 1
         kept = set(md.build_feature_rows(gappy)["minute"].tolist())
         lost = set(md.build_feature_rows(full)["minute"].tolist()) - kept
         assert lost == {m0, m0 + 4, m0 + 5, m0 + 6, m0 + 9}
@@ -343,8 +364,8 @@ class TestBuildFeatureRows:
     def test_alignment_against_bars(self):
         """Every stored feature recomputes from the bars at its stated lag."""
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=9), DAY)
-        price = {b.minute: b.spy_price for b in series.bars}
-        vix = {b.minute: b.vix_annual / md.VIX_INTRADAY_DENOM for b in series.bars}
+        price = {m: p for m, p, _ in series.bars.tolist()}
+        vix = {m: v / md.VIX_INTRADAY_DENOM for m, _, v in series.bars.tolist()}
         for r in md.build_feature_rows(series)[::37]:
             m = int(r["minute"])
             assert r["r5"] == pytest.approx(math.log(price[m] / price[m - 4]), abs=1e-15)
@@ -377,29 +398,29 @@ class TestGenerateSyntheticDay:
         params = md.SynthParams(n_days=1, seed=77)
         a = md.generate_synthetic_day(params, DAY)
         b = md.generate_synthetic_day(params, DAY)
-        assert a == b
+        assert a.bars.tobytes() == b.bars.tobytes()
 
     def test_distinct_seeds_distinct_paths(self):
         a = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=1), DAY)
         b = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=2), DAY)
-        assert a != b
+        assert a.bars.tobytes() != b.bars.tobytes()
 
     def test_distinct_days_distinct_paths(self):
         params = md.SynthParams(n_days=2, seed=1)
         a = md.generate_synthetic_day(params, DAY)
         b = md.generate_synthetic_day(params, DAY + dt.timedelta(days=1))
-        assert [x.spy_price for x in a.bars] != [x.spy_price for x in b.bars]
+        assert a.bars.tobytes() != b.bars.tobytes()
 
     def test_gapless_session(self):
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=4), DAY)
-        assert len(series.bars) == md.SESSION_MINUTES
-        assert not series.has_gaps
+        assert series.bars["minute"].tolist() == list(
+            range(md.SESSION_START_MINUTE, md.SESSION_END_MINUTE + 1)
+        )
 
     def test_zero_vol_constant_price(self):
         params = md.SynthParams(n_days=1, seed=4, return_vol=0.0)
         series = md.generate_synthetic_day(params, DAY)
-        prices = {b.spy_price for b in series.bars}
-        assert prices == {100.0}
+        assert set(series.bars["spy_price"].tolist()) == {100.0}
 
     def test_leverage_correlation_monte_carlo(self):
         params = md.SynthParams(n_days=30, seed=123, leverage_corr=-0.4)
@@ -407,8 +428,8 @@ class TestGenerateSyntheticDay:
         mean_log = math.log(params.vix_mean)
         for day in md.business_days(dt.date(2012, 1, 2), 30):
             series = md.generate_synthetic_day(params, day)
-            logp = np.log([b.spy_price for b in series.bars])
-            logv = np.log([b.vix_annual for b in series.bars])
+            logp = np.log(series.bars["spy_price"])
+            logv = np.log(series.bars["vix"])
             rets.append(np.diff(logp))
             # invert the AR(1) to recover the innovation sequence
             innov = (logv[1:] - mean_log - params.vix_persistence * (logv[:-1] - mean_log))
@@ -448,7 +469,7 @@ class TestGenerateAffineSignalDay:
         params = md.SynthParams(n_days=1, seed=21)
         a = md.generate_affine_signal_day(params, DAY)
         b = md.generate_affine_signal_day(params, DAY)
-        assert a == b
+        assert a.bars.tobytes() == b.bars.tobytes()
 
     def test_gapless(self):
         series = md.generate_affine_signal_day(md.SynthParams(n_days=1, seed=2), DAY)

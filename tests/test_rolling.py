@@ -512,10 +512,9 @@ class TestRunDay:
         # every model reads its own columns of one stack scaled for the whole
         # roster; one VIX bar at 1e200 makes vrp_lag -inf, so vrp and agg
         # windows that touch it are skipped while ar1 windows are scored
-        series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY)
-        bars = [dataclasses.replace(b, vix_annual=1e200) if b.minute == 80 else b
-                for b in series.bars]
-        rows = minutes_between(md.build_feature_rows(md.DaySeries.from_bars(DAY, bars)), 19, 130)
+        bars = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=3), DAY).bars.copy()
+        bars["vix"][bars["minute"] == 80] = 1e200
+        rows = minutes_between(md.build_feature_rows(md.DaySeries(DAY, bars)), 19, 130)
         roster = [rolling.ModelSpec.naive()] + [
             rolling.ModelSpec.ols(which) for which in rolling.OLS_BENCHMARKS
         ] + [
@@ -810,7 +809,7 @@ class TestRunSample:
         roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix")]
         records = rolling.run_sample(days, roster)
         assert len(records) == 3 * 2 * 340
-        keys = [r.sort_key for r in records]
+        keys = [rolling.STORE_ORDER(r) for r in records]
         assert keys == sorted(keys)
         assert len({r.day for r in records}) == 3
 
@@ -834,13 +833,10 @@ class TestRunSample:
         # vix_lag span of ~1.7e-311 and tests on ~0.03, whose scaled value is
         # not a finite float
         day = sample_days(1)[0]
-        bars = [
-            dataclasses.replace(
-                b, vix_annual=1e-308 if b.minute == 80 else 0.0
-            ) if b.minute <= 94 else b
-            for b in day.bars
-        ]
-        day = md.DaySeries.from_bars(day.day, bars)
+        bars = day.bars.copy()
+        bars["vix"][bars["minute"] <= 94] = 0.0
+        bars["vix"][bars["minute"] == 80] = 1e-308
+        day = md.DaySeries(day.day, bars)
         roster = [
             rolling.ModelSpec.naive(),
             rolling.ModelSpec.ols("vix"),
@@ -870,7 +866,7 @@ class TestRunSample:
         a = rolling.run_sample(days, roster, master_seed=0)
         b = rolling.run_sample(days, roster, master_seed=1)
         for ra, rb in zip(a, b):
-            assert ra.sort_key == rb.sort_key
+            assert rolling.STORE_ORDER(ra) == rolling.STORE_ORDER(rb)
             if ra.model in ("naive", "ols-vix"):
                 assert ra == rb
         lstm_pairs = [(ra, rb) for ra, rb in zip(a, b) if ra.model == "lstm"]
@@ -981,7 +977,7 @@ class TestStore:
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(rolling.STORE_COLUMNS)
-            for r in sorted(records, key=lambda r: r.sort_key):
+            for r in sorted(records, key=rolling.STORE_ORDER):
                 writer.writerow([
                     r.day.isoformat(), r.minute, r.model, r.predictor_set, repr(float(r.y_true)),
                     repr(float(r.y_hat)), repr(float(r.y_naive)), r.status,
