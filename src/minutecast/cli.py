@@ -19,7 +19,7 @@ import argparse
 import csv
 import datetime as dt
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence, Tuple
 
@@ -59,7 +59,13 @@ SYNTH_START_DATE = dt.date(2020, 1, 2)
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a pipeline run needs, resolved from file plus flags."""
+    """Everything a pipeline run needs, resolved from file plus flags.
+
+    `lstm`, `rf` and `synth` are the settings of the two model families and
+    of the generator; their defaults are TrainConfig's, ForestConfig's and
+    SynthParams'. `synth_params()` takes n_days and seed from `synth_days`
+    and `seed`, so `synth`'s own two are placeholders.
+    """
 
     input: Optional[str] = None
     synth_days: Optional[int] = None
@@ -70,22 +76,9 @@ class RunConfig:
     out: str = "out"
     models: Tuple[str, ...] = ("naive", "ols-vix", "lstm")
     predictors: Tuple[str, ...] = ("vix",)
-    lstm_hidden_dim: int = 8
-    lstm_epochs: int = 200
-    lstm_learning_rate: float = 0.05
-    lstm_sequence_length: int = 5
-    lstm_clip_norm: float = 1.0
-    lstm_init_scale: float = 0.2
-    rf_trees: int = 100
-    rf_min_leaf: int = 3
-    rf_max_features: Optional[int] = None
-    rf_block_length: int = 5
-    rf_feature_mode: str = "per-split"
-    synth_return_vol: float = 0.0005
-    synth_vix_mean: float = 19.5
-    synth_vix_vol: float = 0.015
-    synth_vix_persistence: float = 0.97
-    synth_leverage_corr: float = -0.4
+    lstm: TrainConfig = TrainConfig()
+    rf: ForestConfig = ForestConfig()
+    synth: SynthParams = SynthParams(n_days=0, seed=0)
 
     def __post_init__(self):
         if not self.models:
@@ -104,18 +97,7 @@ class RunConfig:
     def synth_params(self) -> SynthParams:
         if self.synth_days is None:
             raise ConfigError("synthetic generation needs synth_days (or --days)")
-        try:
-            return SynthParams(
-                n_days=self.synth_days,
-                seed=self.seed,
-                return_vol=self.synth_return_vol,
-                vix_mean=self.synth_vix_mean,
-                vix_vol=self.synth_vix_vol,
-                vix_persistence=self.synth_vix_persistence,
-                leverage_corr=self.synth_leverage_corr,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return replace(self.synth, n_days=self.synth_days, seed=self.seed)
 
 
 def _to_optional_int(text: str) -> Optional[int]:
@@ -126,35 +108,36 @@ def _to_list(text: str) -> Tuple[str, ...]:
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
 
+# key -> (parser, field). A key with no field sets the RunConfig field of its
+# own name; a key with a field sets that field of the section its prefix
+# names, so rf_trees sets rf.n_trees.
 _CONFIG_SCHEMA = {
-    "input": str,
-    "synth_days": int,
-    "start_date": dt.date.fromisoformat,
-    "end_date": dt.date.fromisoformat,
-    "seed": int,
-    "workers": int,
-    "out": str,
-    "models": _to_list,
-    "predictors": _to_list,
-    "lstm_hidden_dim": int,
-    "lstm_epochs": int,
-    "lstm_learning_rate": float,
-    "lstm_sequence_length": int,
-    "lstm_clip_norm": float,
-    "lstm_init_scale": float,
-    "rf_trees": int,
-    "rf_min_leaf": int,
-    "rf_max_features": _to_optional_int,
-    "rf_block_length": int,
-    "rf_feature_mode": str,
-    "synth_return_vol": float,
-    "synth_vix_mean": float,
-    "synth_vix_vol": float,
-    "synth_vix_persistence": float,
-    "synth_leverage_corr": float,
+    "input": (str, None),
+    "synth_days": (int, None),
+    "start_date": (dt.date.fromisoformat, None),
+    "end_date": (dt.date.fromisoformat, None),
+    "seed": (int, None),
+    "workers": (int, None),
+    "out": (str, None),
+    "models": (_to_list, None),
+    "predictors": (_to_list, None),
+    "lstm_hidden_dim": (int, "hidden_dim"),
+    "lstm_epochs": (int, "epochs"),
+    "lstm_learning_rate": (float, "learning_rate"),
+    "lstm_sequence_length": (int, "sequence_length"),
+    "lstm_clip_norm": (float, "clip_norm"),
+    "lstm_init_scale": (float, "init_scale"),
+    "rf_trees": (int, "n_trees"),
+    "rf_min_leaf": (int, "min_leaf"),
+    "rf_max_features": (_to_optional_int, "max_features"),
+    "rf_block_length": (int, "block_length"),
+    "rf_feature_mode": (str, "feature_mode"),
+    "synth_return_vol": (float, "return_vol"),
+    "synth_vix_mean": (float, "vix_mean"),
+    "synth_vix_vol": (float, "vix_vol"),
+    "synth_vix_persistence": (float, "vix_persistence"),
+    "synth_leverage_corr": (float, "leverage_corr"),
 }
-
-assert set(_CONFIG_SCHEMA) == {f.name for f in fields(RunConfig)}
 
 
 def _parse_config_file(path) -> dict:
@@ -174,7 +157,7 @@ def _parse_config_file(path) -> dict:
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = _CONFIG_SCHEMA[key](value)
+                values[key] = _CONFIG_SCHEMA[key][0](value)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -184,7 +167,17 @@ def load_run_config(config_path: Optional[str], overrides: Optional[dict] = None
     """Resolve a RunConfig: defaults, then the config file, then flags."""
     values = _parse_config_file(config_path) if config_path else {}
     values.update(overrides or {})
-    return RunConfig(**values)
+    run_values, sections = {}, {}
+    for key, value in values.items():
+        name = _CONFIG_SCHEMA[key][1]
+        if name is None:
+            run_values[key] = value
+        else:
+            sections.setdefault(key.split("_", 1)[0], {})[name] = value
+    # the sections check their values here, whether or not this run uses them
+    for section, changes in sections.items():
+        run_values[section] = replace(getattr(RunConfig, section), **changes)
+    return RunConfig(**run_values)
 
 
 def build_roster(config: RunConfig) -> list:
@@ -193,21 +186,6 @@ def build_roster(config: RunConfig) -> list:
     `lstm` and `rf` fan out over the configured predictor sets; `ols` is
     shorthand for all five single-regressor benchmarks.
     """
-    train_config = TrainConfig(
-        hidden_dim=config.lstm_hidden_dim,
-        learning_rate=config.lstm_learning_rate,
-        epochs=config.lstm_epochs,
-        sequence_length=config.lstm_sequence_length,
-        clip_norm=config.lstm_clip_norm,
-        init_scale=config.lstm_init_scale,
-    )
-    forest_config = ForestConfig(
-        n_trees=config.rf_trees,
-        min_leaf=config.rf_min_leaf,
-        max_features=config.rf_max_features,
-        block_length=config.rf_block_length,
-        feature_mode=config.rf_feature_mode,
-    )
     roster = []
     for model_id in config.models:
         if model_id == "naive":
@@ -217,9 +195,9 @@ def build_roster(config: RunConfig) -> list:
         elif model_id.startswith("ols-"):
             roster.append(ModelSpec.ols(model_id[len("ols-"):]))
         elif model_id == "lstm":
-            roster.extend(ModelSpec.lstm(p, train_config) for p in config.predictors)
+            roster.extend(ModelSpec.lstm(p, config.lstm) for p in config.predictors)
         elif model_id == "rf":
-            roster.extend(ModelSpec.rf(p, forest_config) for p in config.predictors)
+            roster.extend(ModelSpec.rf(p, config.rf) for p in config.predictors)
         else:
             raise ConfigError(f"unknown model id: {model_id!r}")
     return roster
@@ -327,8 +305,8 @@ def cmd_report(store_path: str, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(instances: int, seed: int, eps: float, tol: float) -> int:
-    report = gradient_check(n_instances=instances, seed=seed, epsilon=eps, tolerance=tol)
+def cmd_gradcheck(**params) -> int:
+    report = gradient_check(**params)
     for n, d, length, err in report.instances:
         print(f"n={n} d={d} L={length} max_rel_err={err:.3e}")
     verdict = "PASS" if report.passed else "FAIL"
@@ -376,10 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--out", default="out", help="output directory")
 
     grad = sub.add_parser("gradcheck", help="check analytic gradients numerically")
-    grad.add_argument("--instances", type=int, default=20)
-    grad.add_argument("--seed", type=int, default=20240210)
-    grad.add_argument("--eps", type=float, default=1e-5)
-    grad.add_argument("--tol", type=float, default=1e-4)
+    grad.add_argument("--instances", dest="n_instances", metavar="INSTANCES", type=int)
+    grad.add_argument("--seed", type=int)
+    grad.add_argument("--eps", dest="epsilon", metavar="EPS", type=float)
+    grad.add_argument("--tol", dest="tolerance", metavar="TOL", type=float)
     return parser
 
 
@@ -388,13 +366,11 @@ def _dispatch(args) -> int:
         return cmd_validate(args.path)
     if args.command == "report":
         return cmd_report(args.store, args.out)
+    # a flag's dest names the parameter or config key it sets; an unset flag sets nothing
+    flags = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
     if args.command == "gradcheck":
-        return cmd_gradcheck(args.instances, args.seed, args.eps, args.tol)
-    # a flag whose dest names a config key overrides that key
-    overrides = {
-        key: value for key, value in vars(args).items()
-        if key in _CONFIG_SCHEMA and value is not None
-    }
+        return cmd_gradcheck(**flags)
+    overrides = {key: value for key, value in flags.items() if key in _CONFIG_SCHEMA}
     config = load_run_config(args.config, overrides)
     if args.command == "synth":
         return cmd_synth(config, args.bars_out)

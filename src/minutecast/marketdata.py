@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import ConfigError, DataError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -141,15 +141,15 @@ class SynthParams:
 
     def __post_init__(self):
         if self.n_days < 0:
-            raise ValueError("n_days must be non-negative")
+            raise ConfigError("n_days must be non-negative")
         if not 0.0 <= self.vix_persistence < 1.0:
-            raise ValueError("vix_persistence must lie in [0, 1)")
+            raise ConfigError("vix_persistence must lie in [0, 1)")
         if self.vix_mean <= 0.0:
-            raise ValueError("vix_mean must be positive")
+            raise ConfigError("vix_mean must be positive")
         if not -1.0 <= self.leverage_corr <= 1.0:
-            raise ValueError("leverage_corr must lie in [-1, 1]")
+            raise ConfigError("leverage_corr must lie in [-1, 1]")
         if self.return_vol < 0.0 or self.vix_vol < 0.0:
-            raise ValueError("volatilities must be non-negative")
+            raise ConfigError("volatilities must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,9 @@ def scan_bars(path) -> BarScan:
                 scan.out_of_session += 1
                 continue
             problems = bar_value_errors(price, vix)
-            scan.errors.extend(f"line {lineno}: {p}" for p in problems)
-            if not problems:
+            if problems:
+                scan.errors.extend(f"line {lineno}: {p}" for p in problems)
+            else:
                 scan.by_day.setdefault(day, []).append((minute, price, vix))
     return scan
 

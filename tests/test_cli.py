@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,7 +57,7 @@ class TestConfigParsing:
         assert config.seed == 7
         assert config.models == ("naive", "ols-rv")
         assert config.predictors == ("vix", "agg")
-        assert config.rf_max_features is None
+        assert config.rf.max_features is None
 
     def test_flags_override_file(self, tmp_path):
         path = write_config(tmp_path, "seed = 5\nworkers = 2\n")
@@ -111,10 +112,42 @@ class TestConfigParsing:
             cli.build_roster(cli.RunConfig(models=("garch",)))
 
     def test_restated_defaults_agree(self):
-        # RunConfig restates the defaults of TrainConfig, ForestConfig and SynthParams
+        # RunConfig's lstm, rf and synth sections take their defaults from
+        # TrainConfig, ForestConfig and SynthParams and pass them on unchanged
         roster = cli.build_roster(cli.RunConfig(models=("lstm", "rf")))
         assert [spec.config for spec in roster] == [TrainConfig(), ForestConfig()]
         assert cli.RunConfig(synth_days=3).synth_params() == SynthParams(n_days=3, seed=0)
+
+    @pytest.mark.parametrize("key, text, name, value", [
+        ("lstm_hidden_dim", "3", "hidden_dim", 3),
+        ("lstm_epochs", "7", "epochs", 7),
+        ("lstm_learning_rate", "0.125", "learning_rate", 0.125),
+        ("lstm_sequence_length", "4", "sequence_length", 4),
+        ("lstm_clip_norm", "2.5", "clip_norm", 2.5),
+        ("lstm_init_scale", "0.375", "init_scale", 0.375),
+        ("rf_trees", "9", "n_trees", 9),
+        ("rf_min_leaf", "6", "min_leaf", 6),
+        ("rf_max_features", "2", "max_features", 2),
+        ("rf_block_length", "8", "block_length", 8),
+        ("rf_feature_mode", "per-tree", "feature_mode", "per-tree"),
+        ("synth_return_vol", "0.001", "return_vol", 0.001),
+        ("synth_vix_mean", "22.5", "vix_mean", 22.5),
+        ("synth_vix_vol", "0.02", "vix_vol", 0.02),
+        ("synth_vix_persistence", "0.9", "vix_persistence", 0.9),
+        ("synth_leverage_corr", "-0.25", "leverage_corr", -0.25),
+    ])
+    def test_section_key_lands_on_its_field(self, tmp_path, key, text, name, value):
+        # a key at a non-default value moves its own field and nothing else,
+        # as the roster and the generator see them
+        path = write_config(tmp_path, f"synth_days = 2\nmodels = lstm, rf\n{key} = {text}\n")
+        config = cli.load_run_config(path)
+        lstm_spec, rf_spec = cli.build_roster(config)
+        landed = {"lstm": lstm_spec.config, "rf": rf_spec.config, "synth": config.synth_params()}
+        expected = {"lstm": TrainConfig(), "rf": ForestConfig(),
+                    "synth": SynthParams(n_days=2, seed=0)}
+        section = key.split("_", 1)[0]
+        expected[section] = replace(expected[section], **{name: value})
+        assert landed == expected
 
     def test_flags_land_on_config_keys(self, monkeypatch):
         seen = {}
@@ -443,6 +476,19 @@ class TestRun:
     def test_unknown_config_key_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path, "synth_days = 1\nhorizon = 2\n")
         assert cli.main(["run", "--config", config]) == 2
+
+    def test_unused_settings_are_checked_at_load(self, tmp_path, capsys):
+        # a generator setting on an input run, and a model setting under synth
+        bars = make_bars(tmp_path)
+        config = write_config(tmp_path, f"input = {bars}\nmodels = naive\nsynth_vix_mean = -1\n")
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 2
+        assert "config error: vix_mean must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        config = write_config(tmp_path, "lstm_epochs = 0\n", name="synth.conf")
+        out = tmp_path / "synth.csv"
+        assert cli.main(["synth", "--config", config, "--days", "1", "--out", str(out)]) == 2
+        assert "config error: epochs must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_input_file_exit_code(self, tmp_path, capsys):
         config = write_config(tmp_path, "input = /nonexistent/bars.csv\n")
