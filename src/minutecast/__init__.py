@@ -41,6 +41,8 @@ from .metrics import (
     summary_stats,
 )
 from .rolling import (
+    DayForecasts,
+    Forecasts,
     ModelSpec,
     PredictionRecord,
     read_store,
@@ -90,6 +92,8 @@ __all__ = [
     "rf_predict",
     "ModelSpec",
     "PredictionRecord",
+    "DayForecasts",
+    "Forecasts",
     "schedule_day",
     "run_day",
     "run_sample",

@@ -270,10 +270,10 @@ def cmd_validate(path: str) -> int:
     return EXIT_OK if not scan.errors else EXIT_DATA
 
 
-def _emit_reports(records, out_dir: Path) -> None:
+def _emit_reports(forecasts, out_dir: Path) -> None:
     """Write the two derived CSVs and print the aggregate table."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    daily = compute_daily_metrics(records)
+    daily = compute_daily_metrics(forecasts)
     write_daily_metrics(daily, out_dir / "daily_metrics.csv")
     report = aggregate_report(daily)
     write_aggregate_report(report, out_dir / "aggregate_report.csv")
@@ -283,25 +283,25 @@ def _emit_reports(records, out_dir: Path) -> None:
 def cmd_run(config: RunConfig) -> int:
     roster = build_roster(config)
     days = _load_days(config)
-    records = run_sample(
+    forecasts = run_sample(
         days, roster, master_seed=config.seed, workers=config.workers
     )
     out_dir = Path(config.out)
-    _emit_reports(records, out_dir)
-    write_store(records, out_dir / "predictions.csv")
+    _emit_reports(forecasts, out_dir)
+    write_store(forecasts, out_dir / "predictions.csv")
     print(
-        f"\n{len(records)} predictions, {len(days)} days, "
+        f"\n{len(forecasts)} predictions, {len(days)} days, "
         f"{len(roster)} models -> {out_dir}/"
     )
     return EXIT_OK
 
 
 def cmd_report(store_path: str, out: str) -> int:
-    records = read_store(store_path)
-    if not records:
+    forecasts = read_store(store_path)
+    if not forecasts:
         raise DataError(f"no records in {store_path}")
-    _emit_reports(records, Path(out))
-    print(f"\nre-aggregated {len(records)} predictions -> {out}/")
+    _emit_reports(forecasts, Path(out))
+    print(f"\nre-aggregated {len(forecasts)} predictions -> {out}/")
     return EXIT_OK
 
 

@@ -20,6 +20,7 @@ import datetime as dt
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -73,6 +74,10 @@ def minute_to_time(minute: int) -> str:
     return f"{total // 60:02d}:{total % 60:02d}"
 
 
+# a bar file repeats the same few hundred HH:MM texts every day, so each
+# distinct text is split once; a text that raises is not cached, so it
+# raises again on every row that holds it
+@lru_cache(maxsize=4096)
 def time_to_minute(text: str) -> int:
     """HH:MM to minute index. Raises ValueError on malformed input."""
     parts = text.strip().split(":")

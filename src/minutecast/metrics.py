@@ -1,8 +1,8 @@
 """Daily and aggregate forecast evaluation.
 
 Daily scores compare each model against the per-window mean forecast that
-ships inside every prediction record, so the out-of-sample R² is measured
-against exactly the benchmark the window saw.  Aggregation trims daily
+ships with every forecast, so the out-of-sample R² is measured against
+exactly the benchmark the window saw.  Aggregation trims daily
 values to the 1st-99th percentile band per metric before averaging.
 """
 
@@ -18,7 +18,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .rolling import STATUS_FALLBACK, STATUS_OK, STATUS_SKIPPED, PredictionRecord
+from .rolling import _SKIPPED, _STATUSES, STATUS_SKIPPED, Forecasts, PredictionRecord
 
 __all__ = [
     "DailyMetrics",
@@ -121,8 +121,27 @@ REFERENCE_DATASET_STATS = SummaryStats(
 )
 
 
-def _scored(records: Sequence[PredictionRecord]) -> List[PredictionRecord]:
-    return [r for r in records if r.status in (STATUS_OK, STATUS_FALLBACK)]
+def _scored(records: Sequence[PredictionRecord]):
+    """y_true, y_hat and y_naive of the records that are not skipped, as arrays."""
+    scored = [r[4:7] for r in records if r.status != STATUS_SKIPPED]
+    return np.array(scored, dtype=float).reshape(-1, 3).T
+
+
+def _rmse(y: np.ndarray, y_hat: np.ndarray) -> Optional[float]:
+    if not len(y):
+        return None
+    errors = y - y_hat
+    return float(np.sqrt(np.mean(errors * errors)))
+
+
+def _r2_oos(y: np.ndarray, y_hat: np.ndarray, y_naive: np.ndarray) -> Optional[float]:
+    if not len(y):
+        return None
+    denominator = float(np.sum((y - y_naive) ** 2))
+    if denominator == 0.0:
+        return None
+    numerator = float(np.sum((y - y_hat) ** 2))
+    return 1.0 - numerator / denominator
 
 
 def rmse_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
@@ -131,11 +150,8 @@ def rmse_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
     Fallback records count with their fallback forecast; skipped records
     carry no forecast and are left out.
     """
-    scored = _scored(records)
-    if not scored:
-        return None
-    errors = np.array([r.y_true - r.y_hat for r in scored], dtype=float)
-    return float(np.sqrt(np.mean(errors * errors)))
+    y, y_hat, _ = _scored(records)
+    return _rmse(y, y_hat)
 
 
 def r2_oos_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
@@ -145,17 +161,7 @@ def r2_oos_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
     every target equals its window mean the denominator vanishes and the
     statistic is undefined, returned as None.
     """
-    scored = _scored(records)
-    if not scored:
-        return None
-    y = np.array([r.y_true for r in scored], dtype=float)
-    y_hat = np.array([r.y_hat for r in scored], dtype=float)
-    y_naive = np.array([r.y_naive for r in scored], dtype=float)
-    denominator = float(np.sum((y - y_naive) ** 2))
-    if denominator == 0.0:
-        return None
-    numerator = float(np.sum((y - y_hat) ** 2))
-    return 1.0 - numerator / denominator
+    return _r2_oos(*_scored(records))
 
 
 def percentile_bounds(
@@ -246,39 +252,34 @@ def summary_stats(spy, vix) -> SummaryStats:
     return SummaryStats(spy=spy_stats, vix=vix_stats, correlation=correlation)
 
 
-def compute_daily_metrics(records: Sequence[PredictionRecord]) -> List[DailyMetrics]:
-    """Score every (day, model, predictor set) group in a record set.
+def compute_daily_metrics(forecasts: Forecasts) -> List[DailyMetrics]:
+    """Score every (day, model, predictor set): one row of each day's block.
 
-    Groups with no scored records are left out; their count is logged.
+    Rows with no scored forecasts are left out; their count is logged.
     """
-    groups: dict = {}
-    for record in records:
-        key = (record.day, record.model, record.predictor_set)
-        groups.setdefault(key, []).append(record)
-
     rows = []
     excluded = 0
-    for (day, model, predictor_set), group in sorted(groups.items()):
-        statuses = [r.status for r in group]
-        n_ok = statuses.count(STATUS_OK)
-        n_fallback = statuses.count(STATUS_FALLBACK)
-        n_skipped = statuses.count(STATUS_SKIPPED)
-        if n_ok + n_fallback == 0:
-            excluded += 1
-            continue
-        rows.append(
-            DailyMetrics(
-                day=day,
-                model=model,
-                predictor_set=predictor_set,
-                rmse=rmse_daily(group),
-                r2_oos=r2_oos_daily(group),
-                n=n_ok + n_fallback,
-                n_ok=n_ok,
-                n_fallback=n_fallback,
-                n_skipped=n_skipped,
+    for block in forecasts.blocks:
+        for (model, predictor_set), y_hat, status in zip(block.models, block.y_hat, block.status):
+            n_ok, n_fallback, n_skipped = np.bincount(status, minlength=len(_STATUSES)).tolist()
+            if n_ok + n_fallback == 0:
+                excluded += 1
+                continue
+            scored = status != _SKIPPED
+            y = block.y_true[scored]
+            rows.append(
+                DailyMetrics(
+                    day=block.day,
+                    model=model,
+                    predictor_set=predictor_set,
+                    rmse=_rmse(y, y_hat[scored]),
+                    r2_oos=_r2_oos(y, y_hat[scored], block.y_naive[scored]),
+                    n=n_ok + n_fallback,
+                    n_ok=n_ok,
+                    n_fallback=n_fallback,
+                    n_skipped=n_skipped,
+                )
             )
-        )
     if excluded:
         log.debug("%d day-model groups had no scored predictions", excluded)
     return rows

@@ -14,14 +14,13 @@ not depend on which other models run beside it.
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import enum
 import logging
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby
+from itertools import repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -56,6 +55,8 @@ __all__ = [
     "ModelFamily",
     "ModelSpec",
     "PredictionRecord",
+    "DayForecasts",
+    "Forecasts",
     "schedule_day",
     "derive_seed",
     "run_day",
@@ -86,6 +87,7 @@ STATUS_OK = "ok"
 STATUS_FALLBACK = "fallback"
 STATUS_SKIPPED = "skipped"
 _STATUSES = (STATUS_OK, STATUS_FALLBACK, STATUS_SKIPPED)
+_OK, _FALLBACK, _SKIPPED = range(len(_STATUSES))  # a status's code in a DayForecasts block
 
 
 # The feature columns behind each predictor id: the five OLS benchmarks each
@@ -176,9 +178,8 @@ class ModelSpec:
         return PREDICTOR_COLUMNS.get(self.predictor_set_id, ())
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """One model's forecast for one prediction minute."""
+class PredictionRecord(NamedTuple):
+    """One model's forecast for one prediction minute: one row of the store."""
 
     day: dt.date
     minute: int
@@ -189,13 +190,120 @@ class PredictionRecord:
     y_naive: float
     status: str
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ConfigError(f"unknown record status: {self.status!r}")
+
+class DayForecasts(NamedTuple):
+    """One day's forecasts from M models over its W windows.
+
+    Row (w, j) of the store is model j's forecast at minutes[w]: the store
+    is minute-major and model-minor, and `models` is sorted, so a block's
+    rows are in store order as they stand.
+    """
+
+    day: dt.date
+    minutes: np.ndarray  # (W,) the test minutes, ascending
+    y_true: np.ndarray  # (W,)
+    y_naive: np.ndarray  # (W,) the window mean, NaN where a target is not finite
+    models: Tuple[Tuple[str, str], ...]  # the M (model, predictor set) ids, sorted
+    y_hat: np.ndarray  # (M, W)
+    status: np.ndarray  # (M, W) uint8 codes into _STATUSES
 
 
-# the store's record order, as a sort key
-STORE_ORDER = attrgetter("day", "minute", "model", "predictor_set")
+def _ranks(values, ordered) -> np.ndarray:
+    """Each value's position in `ordered`, which holds every one of them."""
+    rank = {v: i for i, v in enumerate(ordered)}
+    return np.fromiter(map(rank.__getitem__, values), np.intp, len(values))
+
+
+class Forecasts:
+    """A run's forecasts: one DayForecasts block per day, in date order.
+
+    Iterating yields one PredictionRecord per forecast in store order, by
+    (day, minute, model, predictor set); len counts the forecasts.
+    """
+
+    def __init__(self, blocks: Sequence[DayForecasts] = ()):
+        self.blocks = tuple(blocks)
+
+    def __len__(self) -> int:
+        return sum(block.y_hat.size for block in self.blocks)
+
+    def __iter__(self):
+        for day, minutes, y_true, y_naive, models, y_hat, status in self.blocks:
+            rows = zip(
+                minutes.tolist(), y_true.tolist(), y_naive.tolist(),
+                y_hat.T.tolist(), status.T.tolist(),
+            )
+            for minute, truth, naive, forecasts, codes in rows:
+                for (model, predictor_set), forecast, code in zip(models, forecasts, codes):
+                    yield PredictionRecord(
+                        day, minute, model, predictor_set, truth, forecast, naive, _STATUSES[code]
+                    )
+
+    @classmethod
+    def from_columns(
+        cls, day, minute, model, predictor_set, y_true, y_hat, y_naive, status, first_line=1
+    ) -> "Forecasts":
+        """Blocks from the store's eight columns, their rows in any order.
+
+        Position i of the columns is one row, which errors name as line
+        first_line + i. Every row has a known status, and no (day, minute,
+        model, predictor set) appears twice. Within a day every model has a
+        row at every minute, and all of them hold the same y_true and
+        y_naive at a minute, bit for bit. Anything else raises ParseError.
+        """
+        unknown = set(status) - set(_STATUSES)
+        if unknown:
+            i = next(i for i, s in enumerate(status) if s in unknown)
+            raise ParseError(f"line {first_line + i}: unknown record status: {status[i]!r}")
+        codes = _ranks(status, _STATUSES).astype(np.uint8)
+        dates, models, predictor_sets = (sorted(set(c)) for c in (day, model, predictor_set))
+        d = _ranks(day, dates)
+        # (model, predictor set) as one rank that sorts as the pair does
+        P = len(predictor_sets)
+        k = _ranks(model, models) * P + _ranks(predictor_set, predictor_sets)
+        m = np.array(minute, dtype=np.intp)
+        shared = np.column_stack([np.array(y_true, dtype=float), np.array(y_naive, dtype=float)])
+        y_hat = np.array(y_hat, dtype=float)
+        # store order; the sort is stable, so a repeated row sorts after the row it repeats
+        order = np.lexsort((k, m, d))
+        d, m, k = d[order], m[order], k[order]
+        repeat = (d[1:] == d[:-1]) & (m[1:] == m[:-1]) & (k[1:] == k[:-1])
+        if repeat.any():
+            line = first_line + order[1:][repeat].min()
+            raise ParseError(f"line {line}: repeats the row of an earlier line")
+        blocks = []
+        bounds = np.searchsorted(d, np.arange(len(dates) + 1)).tolist()
+        for date, start, stop in zip(dates, bounds, bounds[1:]):
+            # a day's minutes are sorted; np.unique would import numpy.ma on first use
+            first = np.ones(stop - start, dtype=bool)
+            first[1:] = m[start + 1:stop] != m[start:stop - 1]
+            minutes, present = m[start:stop][first], np.flatnonzero(np.bincount(k[start:stop]))
+            if stop - start != len(minutes) * len(present):
+                held = np.zeros((len(minutes), len(present)), dtype=bool)
+                held[np.searchsorted(minutes, m[start:stop]),
+                     np.searchsorted(present, k[start:stop])] = True
+                w, j = np.argwhere(~held)[0]
+                raise ParseError(
+                    f"{date}: no row for minute {minutes[w]} of model "
+                    f"{models[present[j] // P]!r}, predictor_set {predictor_sets[present[j] % P]!r}"
+                )
+            # sorted by (minute, model) and complete: row (w, j) of the grid
+            grid = order[start:stop].reshape(len(minutes), len(present))
+            bits = shared[grid].view(np.int64)
+            differs = (bits != bits[:, :1]).any(axis=2)
+            if differs.any():
+                line = first_line + grid[differs].min()
+                raise ParseError(f"line {line}: y_true or y_naive differs from another model's")
+            blocks.append(DayForecasts(
+                day=date,
+                minutes=minutes,
+                y_true=shared[grid[:, 0], 0],
+                y_naive=shared[grid[:, 0], 1],
+                models=tuple((models[j // P], predictor_sets[j % P]) for j in present.tolist()),
+                y_hat=y_hat[grid.T],
+                status=codes[grid.T],
+            ))
+        return cls(blocks)
 
 
 def _window_length(minutes):
@@ -316,10 +424,10 @@ class _DayStack(NamedTuple):
     """
 
     day: dt.date
-    minutes: List[int]  # the test minutes
+    minutes: np.ndarray  # (W,) the test minutes
     columns: Dict[str, int]  # stack column of each feature name and of r5
     lengths: np.ndarray  # (W,) training rows per window
-    y_true: List[float]
+    y_true: np.ndarray  # (W,)
     y_naive: np.ndarray  # (W,) the window mean, NaN where a target is not finite
     finite: np.ndarray  # (W, c) the window's rows and test row are finite
     fittable: Optional[np.ndarray]  # (W, c) finite, scaled finite, test row in range
@@ -366,10 +474,10 @@ def _stack_day(rows: np.ndarray, tests: np.ndarray, roster: Sequence[ModelSpec])
         fittable = finite & np.isfinite(scaled).all(axis=1) & in_range
     return _DayStack(
         day=rows["day"][0].item(),
-        minutes=rows["minute"][tests].tolist(),
+        minutes=rows["minute"][tests],
         columns={name: c for c, name in enumerate(names)},
         lengths=lengths,
-        y_true=test_rows[:, -1].tolist(),
+        y_true=np.ascontiguousarray(test_rows[:, -1]),
         y_naive=y_naive,
         finite=finite,
         fittable=fittable,
@@ -379,8 +487,10 @@ def _stack_day(rows: np.ndarray, tests: np.ndarray, roster: Sequence[ModelSpec])
     )
 
 
-def _run_model(stack: _DayStack, spec: ModelSpec, master_seed: int) -> List[PredictionRecord]:
-    """One model over every window of a day's stack, one record each in row order.
+def _run_model(
+    stack: _DayStack, spec: ModelSpec, master_seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One model over every window of a day's stack: its (W,) forecasts and status codes.
 
     A window whose inputs are not all finite is recorded as skipped, with
     no naive forecast when a target is among them; the naive model needs
@@ -403,8 +513,8 @@ def _run_model(stack: _DayStack, spec: ModelSpec, master_seed: int) -> List[Pred
             seeds = None
             if spec.family in _SEEDED_FAMILIES:
                 seeds = [
-                    derive_seed(master_seed, stack.day, stack.minutes[i], spec.key)
-                    for i in j.tolist()
+                    derive_seed(master_seed, stack.day, minute, spec.key)
+                    for minute in stack.minutes[j].tolist()
                 ]
             yhat_scaled[j] = _FORECASTS[spec.family](
                 spec, scaled[j, :, :k], scaled[j, :, k], stack.lengths[j],
@@ -413,15 +523,9 @@ def _run_model(stack: _DayStack, spec: ModelSpec, master_seed: int) -> List[Pred
         y_hat = inverse_transform_target(stack.scaler, yhat_scaled, cols[k])
         # a degenerate target inverts to its constant whatever the forecast
         ok = np.isfinite(yhat_scaled) & np.isfinite(y_hat)
-    status = np.where(ok, STATUS_OK, np.where(usable, STATUS_FALLBACK, STATUS_SKIPPED))
+    status = np.where(ok, _OK, np.where(usable, _FALLBACK, _SKIPPED)).astype(np.uint8)
     y_hat = np.where(ok, y_hat, np.where(usable, stack.y_naive, math.nan))
-    day, model, predictor_set = stack.day, spec.model_id, spec.predictor_set_id
-    return [
-        PredictionRecord(day, minute, model, predictor_set, y_true, forecast, naive, state)
-        for minute, y_true, forecast, naive, state in zip(
-            stack.minutes, stack.y_true, y_hat.tolist(), stack.y_naive.tolist(), status.tolist()
-        )
-    ]
+    return y_hat, status
 
 
 def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:
@@ -434,28 +538,40 @@ def _check_roster(roster: Sequence[ModelSpec]) -> List[ModelSpec]:
 
 def run_day(
     rows: np.ndarray, roster: Sequence[ModelSpec], master_seed: int = 0
-) -> List[PredictionRecord]:
+) -> DayForecasts:
     """Run every scheduled window of one day's feature table for every model.
 
-    Output is sorted by (minute, model, predictor set); all models share the
-    same schedule, so per-model record counts always match. A run over one
-    window's rows alone is a one-window run.
+    The block's models are the roster's, sorted by (model, predictor set);
+    all models share the day's schedule. A day with no scheduled window
+    gives a block with no minutes, and a run over one window's rows alone
+    is a one-window run.
     """
-    roster = _check_roster(roster)
+    roster = sorted(
+        _check_roster(roster), key=lambda spec: (spec.model_id, spec.predictor_set_id)
+    )
+    models = tuple((spec.model_id, spec.predictor_set_id) for spec in roster)
     tests = schedule_day(rows)
     if not (len(tests) and roster):
-        return []
+        none = np.empty(0)
+        return DayForecasts(
+            day=rows["day"][0].item() if len(rows) else None,
+            minutes=tests, y_true=none, y_naive=none, models=models,
+            y_hat=np.empty((len(models), 0)), status=np.empty((len(models), 0), dtype=np.uint8),
+        )
     stack = _stack_day(rows, tests, roster)
-    # every model has one record per test row, so taking the models in
-    # (model, predictor set) order minute by minute gives the sorted day
-    roster = sorted(roster, key=lambda spec: (spec.model_id, spec.predictor_set_id))
-    per_model = [_run_model(stack, spec, master_seed) for spec in roster]
-    return [record for minute in zip(*per_model) for record in minute]
+    y_hat, status = zip(*(_run_model(stack, spec, master_seed) for spec in roster))
+    return DayForecasts(
+        day=stack.day,
+        minutes=stack.minutes,
+        y_true=stack.y_true,
+        y_naive=stack.y_naive,
+        models=models,
+        y_hat=np.array(y_hat),
+        status=np.array(status),
+    )
 
 
-def _run_series(
-    series: DaySeries, roster: Sequence[ModelSpec], master_seed: int
-) -> List[PredictionRecord]:
+def _run_series(series: DaySeries, roster: Sequence[ModelSpec], master_seed: int) -> DayForecasts:
     return run_day(build_feature_rows(series), roster, master_seed)
 
 
@@ -464,31 +580,28 @@ def run_sample(
     roster: Sequence[ModelSpec],
     master_seed: int = 0,
     workers: int = 1,
-) -> List[PredictionRecord]:
-    """Run a multi-day sample and merge all records into store order.
+) -> Forecasts:
+    """Run a multi-day sample: one block per day, in date order.
 
-    Days are independent units of work.  Seeds derive from (master seed,
-    day, minute, model), and the merged records are sorted, so any worker
-    count produces the identical record list.
+    Days are independent units of work, and two with one date raise
+    DataError. Seeds derive from (master seed, day, minute, model), so any
+    worker count produces identical blocks.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    days = list(days)
+    days = sorted(days, key=attrgetter("day"))
+    for before, after in zip(days, days[1:]):
+        if before.day == after.day:
+            raise DataError(f"two day series share the date {after.day}")
     roster = _check_roster(roster)
-    if not days:
-        return []
     job = partial(_run_series, roster=roster, master_seed=master_seed)
-    if workers == 1 or len(days) == 1:
-        chunks = [job(series) for series in days]
-    else:
-        # imported here: the pool machinery costs a serial run's start-up time
-        from concurrent.futures import ProcessPoolExecutor
+    if workers == 1 or len(days) <= 1:
+        return Forecasts(map(job, days))
+    # imported here: the pool machinery costs a serial run's start-up time
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(days))) as pool:
-            chunks = list(pool.map(job, days))
-    records = [record for chunk in chunks for record in chunk]
-    records.sort(key=STORE_ORDER)
-    return records
+    with ProcessPoolExecutor(max_workers=min(workers, len(days))) as pool:
+        return Forecasts(pool.map(job, days))
 
 
 # the characters csv would quote a field for
@@ -506,59 +619,94 @@ STORE_COLUMNS = (
 )
 
 
-def write_store(records: Sequence[PredictionRecord], path) -> None:
-    """Write records as CSV in store order.
+def _store_lines(block: DayForecasts) -> List[str]:
+    """A block's store lines: each minute's fields and each model's ids formatted once."""
+    if not block.y_hat.size:
+        return []
+    date = block.day.isoformat()
+    leads = [f"{date},{minute}" for minute in block.minutes.tolist()]
+    truths = [f"{value!r}," for value in block.y_true.tolist()]
+    naives = [f",{value!r}," for value in block.y_naive.tolist()]
+    lines = [""] * block.y_hat.size
+    M = len(block.models)
+    for j, ((model, predictor_set), y_hat, codes) in enumerate(
+        zip(block.models, block.y_hat.tolist(), block.status.tolist())
+    ):
+        ids = f",{model},{predictor_set},"
+        lines[j::M] = [
+            f"{lead}{ids}{truth}{forecast!r}{naive}{_STATUSES[code]}\n"
+            for lead, truth, forecast, naive, code in zip(leads, truths, y_hat, naives, codes)
+        ]
+    return lines
+
+
+def write_store(forecasts: Forecasts, path) -> None:
+    """Write a run's forecasts as CSV in store order.
 
     Floats are written with repr so reading the file back reproduces every
     value bit for bit. No field is ever quoted: a model or predictor id
     holding a comma, a double quote or a line break raises ConfigError.
     """
-    ordered = sorted(records, key=STORE_ORDER)
-    for ids in {(r.model, r.predictor_set) for r in ordered}:
-        for text in ids:
+    for block in forecasts.blocks:
+        for text in {text for ids in block.models for text in ids}:
             if any(c in text for c in _QUOTED):
                 raise ConfigError(f"store ids cannot hold {_QUOTED!r}: {text!r}")
     with open(path, "w", newline="") as handle:
         handle.write(",".join(STORE_COLUMNS) + "\n")
-        for day, group in groupby(ordered, key=attrgetter("day")):
-            date = day.isoformat()
-            handle.writelines(
-                f"{date},{r.minute},{r.model},{r.predictor_set},{float(r.y_true)!r},"
-                f"{float(r.y_hat)!r},{float(r.y_naive)!r},{r.status}\n"
-                for r in group
-            )
+        for block in forecasts.blocks:
+            handle.writelines(_store_lines(block))
 
 
-def read_store(path) -> List[PredictionRecord]:
-    """Read a prediction store back into records."""
-    records = []
-    dates = {}
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(STORE_COLUMNS):
-            raise ParseError(f"unexpected store header: {header!r}")
-        for lineno, fields in enumerate(reader, start=2):
-            if len(fields) != len(STORE_COLUMNS):
-                raise ParseError(
-                    f"line {lineno}: expected {len(STORE_COLUMNS)} fields, got {len(fields)}"
-                )
+def _parse_column(texts, parse) -> list:
+    """Parse one store column; a text that does not parse raises ParseError naming its line."""
+    try:
+        return list(map(parse, texts))
+    except ValueError:
+        for i, text in enumerate(texts, start=2):
             try:
-                day = dates.get(fields[0])
-                if day is None:
-                    day = dates[fields[0]] = dt.date.fromisoformat(fields[0])
-                records.append(
-                    PredictionRecord(
-                        day=day,
-                        minute=int(fields[1]),
-                        model=fields[2],
-                        predictor_set=fields[3],
-                        y_true=float(fields[4]),
-                        y_hat=float(fields[5]),
-                        y_naive=float(fields[6]),
-                        status=fields[7],
-                    )
-                )
-            except (ValueError, ConfigError) as exc:
-                raise ParseError(f"line {lineno}: {exc}") from exc
-    return records
+                parse(text)
+            except ValueError as exc:
+                raise ParseError(f"line {i}: {exc}") from exc
+        raise
+
+
+def read_store(path) -> Forecasts:
+    """Read a prediction store back into blocks, checking the store's invariant.
+
+    Each line after the header holds the eight fields, none quoted; see
+    Forecasts.from_columns for what each day's rows must hold. Every error
+    is a ParseError naming its line.
+    """
+    with open(path) as handle:
+        header = handle.readline()
+        body = handle.read()
+    if header.rstrip("\n").split(",") != list(STORE_COLUMNS):
+        raise ParseError(f"unexpected store header: {header!r}")
+    body = body[:-1] if body.endswith("\n") else body
+    if not body:
+        return Forecasts()
+    lines = body.split("\n")
+    n = len(STORE_COLUMNS)
+    if '"' in body or set(map(str.count, lines, repeat(","))) != {n - 1}:
+        for i, line in enumerate(lines, start=2):
+            if '"' in line:
+                raise ParseError(f"line {i}: store fields are never quoted")
+            if line.count(",") != n - 1:
+                got = line.count(",") + 1 if line else 0
+                raise ParseError(f"line {i}: expected {n} fields, got {got}")
+    # every line holds n fields, so field j of line i is field n * i + j of the body
+    fields = body.replace("\n", ",").split(",")
+    dates, minutes, models, predictor_sets, y_true, y_hat, y_naive, status = (
+        fields[j::n] for j in range(n)
+    )
+    return Forecasts.from_columns(
+        _parse_column(dates, dt.date.fromisoformat),
+        _parse_column(minutes, int),
+        models,
+        predictor_sets,
+        _parse_column(y_true, float),
+        _parse_column(y_hat, float),
+        _parse_column(y_naive, float),
+        status,
+        first_line=2,
+    )

@@ -4,7 +4,6 @@ Each test is self-contained and states its tolerance inline. The
 conftest hook prints a one-line verdict per criterion after the run.
 """
 
-import dataclasses
 import datetime as dt
 import time
 
@@ -28,7 +27,7 @@ from minutecast.metrics import (
     r2_oos_daily,
     summary_stats,
 )
-from minutecast.rolling import ModelSpec, run_day, run_sample, schedule_day
+from minutecast.rolling import Forecasts, ModelSpec, run_day, run_sample, schedule_day
 from minutecast.scaling import fit_minmax, inverse_transform_target, transform
 from test_forest import assert_trees_equal
 
@@ -167,13 +166,13 @@ def test_criterion_4_gapless_day_schedule():
 
 def test_criterion_5_naive_r2_is_zero_and_perfect_is_one():
     series = generate_synthetic_day(SynthParams(n_days=1, seed=9), DAY)
-    records = run_day(build_feature_rows(series), [ModelSpec.naive()])
+    records = list(Forecasts([run_day(build_feature_rows(series), [ModelSpec.naive()])]))
     assert len(records) == 340
     r2 = r2_oos_daily(records)
     assert r2 is not None  # the benchmark denominator is nonzero
     assert abs(r2) < 1e-12
 
-    perfect = [dataclasses.replace(r, y_hat=r.y_true) for r in records]
+    perfect = [r._replace(y_hat=r.y_true) for r in records]
     assert r2_oos_daily(perfect) == 1.0
 
 

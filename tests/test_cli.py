@@ -507,13 +507,27 @@ class TestReport:
             assert (redone / name).read_bytes() == (out / name).read_bytes()
         assert not (redone / "predictions.csv").exists()
 
+    def test_repeated_rows_are_rejected(self, tmp_path, capsys):
+        # appending a store's last lines to it again once counted them twice
+        config = write_config(tmp_path, SMALL_RUN)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out),
+                         "--models", "naive,ols-vix"]) == 0
+        store = out / "predictions.csv"
+        lines = store.read_text().splitlines()
+        store.write_text("\n".join(lines + lines[-3:]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["report", str(store), "--out", str(tmp_path / "redone")]) == 3
+        assert f"line {len(lines) + 1}: repeats" in capsys.readouterr().err
+        assert not (tmp_path / "redone").exists()
+
     def test_missing_store(self, tmp_path, capsys):
         assert cli.main(["report", str(tmp_path / "nope.csv")]) == 3
 
     def test_empty_store(self, tmp_path, capsys):
-        from minutecast.rolling import write_store
+        from minutecast.rolling import Forecasts, write_store
         path = tmp_path / "empty.csv"
-        write_store([], path)
+        write_store(Forecasts(), path)
         assert cli.main(["report", str(path), "--out", str(tmp_path / "o")]) == 3
 
 

@@ -146,8 +146,13 @@ def test_golden_store(tmp_path, capsys):
     digests = {key: _sha("\n".join(rows).encode()) for key, rows in slices.items()}
     lstm_slices = {key: kernel[key] for key in (("lstm", "agg"), ("lstm", "vix"))}
     assert digests == {**PREDICTION_SLICES, **lstm_slices}
-    assert _sha((out / "daily_metrics.csv").read_bytes()) == kernel["daily_metrics"]
-    assert _sha((out / "aggregate_report.csv").read_bytes()) == kernel["aggregate_report"]
+    # report re-reads the store, skipped, fallback, NaN and 1e200 rows included
+    redone = tmp_path / "redone"
+    assert cli.main(["report", str(out / "predictions.csv"), "--out", str(redone)]) == 0
+    capsys.readouterr()
+    for directory in (out, redone):
+        assert _sha((directory / "daily_metrics.csv").read_bytes()) == kernel["daily_metrics"]
+        assert _sha((directory / "aggregate_report.csv").read_bytes()) == kernel["aggregate_report"]
 
 
 def test_train_windows_digest():

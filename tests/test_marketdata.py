@@ -120,6 +120,28 @@ class TestMinuteIndexing:
         with pytest.raises(ValueError):
             md.time_to_minute("25:00")
 
+    def test_malformed_time_raises_every_time(self):
+        # parsed times are cached; a failed parse is not, so it fails alike each call
+        for _ in range(3):
+            with pytest.raises(ValueError, match="time out of range: '25:00'"):
+                md.time_to_minute("25:00")
+            assert md.time_to_minute("10:11") == 41
+
+    def test_scan_reports_each_row_with_a_bad_time(self, tmp_path):
+        path = tmp_path / "bars.csv"
+        path.write_text(
+            "date,time,spy_price,vix\n"
+            "2021-03-01,09:40,100.0,18.0\n"
+            "2021-03-01,9h41,100.0,18.0\n"
+            "2021-03-01,09:42,100.0,18.0\n"
+            "2021-03-01,9h41,100.0,18.0\n"
+        )
+        scan = md.scan_bars(path)
+        assert scan.errors == [
+            "line 3: expected HH:MM, got '9h41'",
+            "line 5: expected HH:MM, got '9h41'",
+        ]
+
 
 class TestLoadMinuteBars:
     def write(self, tmp_path, rows, header="date,time,spy_price,vix"):

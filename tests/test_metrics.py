@@ -16,15 +16,17 @@ from hypothesis import strategies as st
 from minutecast import metrics, rolling
 from minutecast import marketdata as md
 from minutecast.errors import ConfigError, ShapeError
+from test_rolling import forecasts
 
 DAY = dt.date(2021, 3, 1)
 
 
 def rec(y, y_hat, y_naive, status="ok", minute=41, model="m", pred="p", day=DAY):
-    return rolling.PredictionRecord(
+    record = rolling.PredictionRecord(
         day=day, minute=minute, model=model, predictor_set=pred,
         y_true=y, y_hat=y_hat, y_naive=y_naive, status=status,
     )
+    return next(iter(forecasts([record])))
 
 
 def manual_percentile(sorted_values, p):
@@ -257,14 +259,16 @@ def make_day(day, model, pred, pairs):
 class TestComputeDailyMetrics:
     def test_grouping_counts_and_values(self):
         d2 = DAY + dt.timedelta(days=1)
+        # every model of a day has a row at each minute, with the same y_true and y_naive
         records = (
-            make_day(DAY, "a", "x", [(0.0, 3.0, 0.1, "ok"), (0.0, 4.0, 0.1, "ok")])
-            + make_day(DAY, "b", "y", [(1.0, 1.0, 0.5, "ok"),
-                                       (2.0, 1.5, 0.5, "fallback"),
-                                       (0.0, math.nan, 0.5, "skipped")])
+            make_day(DAY, "a", "x", [(0.0, 3.0, 0.1, "ok"), (0.0, 4.0, 0.1, "ok"),
+                                     (0.0, math.nan, 0.1, "skipped")])
+            + make_day(DAY, "b", "y", [(0.0, 1.0, 0.1, "ok"),
+                                       (0.0, 1.5, 0.1, "fallback"),
+                                       (0.0, math.nan, 0.1, "skipped")])
             + make_day(d2, "a", "x", [(0.5, 0.5, 0.5, "ok")])
         )
-        rows = metrics.compute_daily_metrics(records)
+        rows = metrics.compute_daily_metrics(forecasts(records))
         assert [(r.day, r.model) for r in rows] == [(DAY, "a"), (DAY, "b"), (d2, "a")]
         first = rows[0]
         assert first.rmse == pytest.approx(math.sqrt(12.5), rel=1e-15)
@@ -277,13 +281,12 @@ class TestComputeDailyMetrics:
 
     def test_all_skipped_group_excluded(self):
         records = make_day(DAY, "a", "x", [(0.0, math.nan, math.nan, "skipped")])
-        assert metrics.compute_daily_metrics(records) == []
+        assert metrics.compute_daily_metrics(forecasts(records)) == []
 
     def test_naive_day_scores_zero_r2(self):
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=21), DAY)
-        records = rolling.run_day(md.build_feature_rows(series),
-                                  [rolling.ModelSpec.naive()])
-        rows = metrics.compute_daily_metrics(records)
+        block = rolling.run_day(md.build_feature_rows(series), [rolling.ModelSpec.naive()])
+        rows = metrics.compute_daily_metrics(rolling.Forecasts([block]))
         assert len(rows) == 1
         assert rows[0].n == 340
         assert abs(rows[0].r2_oos) < 1e-12

@@ -36,6 +36,16 @@ def day_rows(seed: int = 3):
     return rows
 
 
+def day_records(rows, roster, master_seed=0):
+    """run_day's block as its store rows."""
+    return list(rolling.Forecasts([rolling.run_day(rows, roster, master_seed)]))
+
+
+def forecasts(records):
+    """Hand-built records through the validating constructor that read_store uses."""
+    return rolling.Forecasts.from_columns(*zip(*records))
+
+
 def drop_minutes(rows, missing):
     return rows[~np.isin(rows["minute"], list(missing))]
 
@@ -236,7 +246,7 @@ class TestDeriveSeed:
 def run_window(rows, minute, spec, master_seed=0):
     """A one-window run: run_day over the window's rows and its test row alone."""
     i = row_of(rows, minute)
-    records = rolling.run_day(rows[window_start(rows, i):i + 1], [spec], master_seed)
+    records = day_records(rows[window_start(rows, i):i + 1], [spec], master_seed)
     assert records[-1].minute == minute
     return records[-1]
 
@@ -401,14 +411,14 @@ class TestNoLookahead:
     @pytest.mark.parametrize("minute", [45, 60])
     def test_forecast_ignores_target_and_later_rows(self, spec, minute):
         rows = minutes_between(day_rows(), 19, 70)
-        before = {r.minute: r for r in rolling.run_day(rows, [spec], master_seed=2)}
+        before = {r.minute: r for r in day_records(rows, [spec], master_seed=2)}
         i = row_of(rows, minute)
         moved = rows.copy()
         noise = np.random.default_rng(minute).normal(scale=1e-3, size=(len(rows), 7))
         moved["r5"][i] += 1.0
         for k, name in enumerate(md.FEATURE_DTYPE.names[2:]):
             moved[name][i + 1:] = noise[i + 1:, k]
-        after = {r.minute: r for r in rolling.run_day(moved, [spec], master_seed=2)}
+        after = {r.minute: r for r in day_records(moved, [spec], master_seed=2)}
         assert after[minute].y_true != before[minute].y_true
         for field in ("y_hat", "y_naive", "status"):
             assert getattr(after[minute], field) == getattr(before[minute], field)
@@ -418,7 +428,7 @@ class TestRunDay:
     def test_counts_and_grouping(self):
         roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix"),
                   rolling.ModelSpec.ols("ar1")]
-        records = rolling.run_day(day_rows(), roster)
+        records = day_records(day_rows(), roster)
         assert len(records) == 3 * 340
         per_model = {}
         for r in records:
@@ -430,7 +440,7 @@ class TestRunDay:
         assert keys == sorted(keys)
 
     def test_empty_roster(self):
-        assert rolling.run_day(day_rows(), []) == []
+        assert day_records(day_rows(), []) == []
 
     def test_duplicate_roster_rejected(self):
         with pytest.raises(ConfigError):
@@ -438,7 +448,7 @@ class TestRunDay:
 
     def test_matches_run_window_for_direct_models(self):
         roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vrp")]
-        records = rolling.run_day(day_rows(), roster)
+        records = day_records(day_rows(), roster)
         for record in records[::97]:
             direct = run_window(
                 day_rows(), record.minute,
@@ -448,7 +458,7 @@ class TestRunDay:
 
     def test_lstm_batching_matches_single_window_runs(self):
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(hidden_dim=4, epochs=8))
-        records = rolling.run_day(day_rows(), [spec], master_seed=3)
+        records = day_records(day_rows(), [spec], master_seed=3)
         assert len(records) == 340
         assert all(r.status == "ok" for r in records)
         # no window's arithmetic depends on the others in its batch, so a
@@ -473,25 +483,25 @@ class TestRunDay:
 
         monkeypatch.setattr(rolling, "lstm_train", counted)
         with np.errstate(over="ignore", invalid="ignore"):
-            records = rolling.run_day(rows, [naive, spec])
+            records = day_records(rows, [naive, spec])
         lstm_records = [r for r in records if r.model == "lstm"]
         assert len(lstm_records) == 30
         assert solo == []
         assert all(r.status == "fallback" for r in lstm_records)
         assert all(r.y_hat == r.y_naive for r in lstm_records)
         monkeypatch.setattr(rolling, "lstm_train", lstm_train)
-        assert [r for r in records if r.model == "naive"] == rolling.run_day(rows, [naive])
+        assert [r for r in records if r.model == "naive"] == day_records(rows, [naive])
 
     def test_lstm_day_is_deterministic(self):
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(hidden_dim=4, epochs=5))
-        a = rolling.run_day(day_rows(), [spec], master_seed=9)
-        b = rolling.run_day(day_rows(), [spec], master_seed=9)
+        a = day_records(day_rows(), [spec], master_seed=9)
+        b = day_records(day_rows(), [spec], master_seed=9)
         assert a == b
 
     def test_lstm_long_sequences_fall_back_on_short_warmups(self):
         spec = rolling.ModelSpec.lstm("vix", TrainConfig(hidden_dim=2, epochs=2,
                                                          sequence_length=25))
-        records = rolling.run_day(day_rows(), [spec])
+        records = day_records(day_rows(), [spec])
         by_minute = {r.minute: r for r in records}
         # windows with no more than 25 rows have every subsequence masked
         for minute in range(41, 45):
@@ -503,10 +513,10 @@ class TestRunDay:
     def test_rf_day_subset(self):
         rows = minutes_between(day_rows(), 19, 120)
         spec = rolling.ModelSpec.rf("vix", ForestConfig(n_trees=3))
-        records = rolling.run_day(rows, [spec], master_seed=4)
+        records = day_records(rows, [spec], master_seed=4)
         assert len(records) == 120 - 41 + 1
         assert all(r.status == "ok" for r in records)
-        assert records == rolling.run_day(rows, [spec], master_seed=4)
+        assert records == day_records(rows, [spec], master_seed=4)
 
     def test_model_records_do_not_depend_on_roster(self):
         # every model reads its own columns of one stack scaled for the whole
@@ -523,12 +533,12 @@ class TestRunDay:
         ]
 
         def text(records):  # repr, so that NaN matches NaN
-            return [tuple(map(repr, dataclasses.astuple(r))) for r in records]
+            return [tuple(map(repr, r)) for r in records]
 
-        full = rolling.run_day(rows, roster, master_seed=6)
+        full = day_records(rows, roster, master_seed=6)
         assert len(full) == len(roster) * (130 - 41 + 1)
         for spec in roster:
-            alone = rolling.run_day(rows, [spec], master_seed=6)
+            alone = day_records(rows, [spec], master_seed=6)
             assert text(alone) == text(
                 r for r in full
                 if r.model == spec.model_id and r.predictor_set == spec.predictor_set_id
@@ -551,7 +561,7 @@ class TestNaiveAndSeeds:
         # order would round differently
         rng = np.random.default_rng(seed)
         rows["r5"] = rng.normal(size=len(rows)) * 10.0 ** rng.integers(-6, 0, len(rows))
-        records = rolling.run_day(rows, [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix")])
+        records = day_records(rows, [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix")])
         naive = [r for r in records if r.model == "naive"]
         tests = rolling.schedule_day(rows)
         assert [r.minute for r in naive] == rows["minute"][tests].tolist()
@@ -567,7 +577,7 @@ class TestNaiveAndSeeds:
         rows = day_rows().copy()
         i = row_of(rows, 100)
         rows["r5"][i] = bad
-        records = {r.minute: r for r in rolling.run_day(rows, [rolling.ModelSpec.naive()])}
+        records = {r.minute: r for r in day_records(rows, [rolling.ModelSpec.naive()])}
         # minute 100 is the test target of its own window and a training
         # target of the next 30; minute 131 is clear of it
         for minute in range(100, 131):
@@ -595,7 +605,7 @@ class TestNaiveAndSeeds:
         roster = [rolling.ModelSpec.naive()] + [
             rolling.ModelSpec.ols(which) for which in rolling.OLS_BENCHMARKS
         ]
-        records = rolling.run_day(minutes_between(day_rows(), 19, 90), roster)
+        records = day_records(minutes_between(day_rows(), 19, 90), roster)
         assert any(r.status == "ok" and r.model.startswith("ols") for r in records)
         assert calls == []
 
@@ -605,7 +615,7 @@ class TestNaiveAndSeeds:
         # a NaN predictor skips the windows that touch it, before any fit
         rows["vix_lag"][row_of(rows, 80)] = math.nan
         spec = rolling.ModelSpec.rf("vix", ForestConfig(n_trees=2))
-        records = rolling.run_day(rows, [rolling.ModelSpec.naive(), spec], master_seed=2)
+        records = day_records(rows, [rolling.ModelSpec.naive(), spec], master_seed=2)
         fitted = [r.minute for r in records if r.model == "rf" and r.status != "skipped"]
         assert 0 < len(fitted) < 90 - 41 + 1
         assert calls == [(minute, spec.key) for minute in fitted]
@@ -790,7 +800,7 @@ class TestStackedScalingMatchesOracle:
         for spec in ORACLE_SPECS:
             with np.errstate(all="ignore"):
                 expected = oracle_run(rows, spec, master_seed)
-                records = rolling.run_day(rows, [spec], master_seed)
+                records = day_records(rows, [spec], master_seed)
             got = [(r.minute, r.status, repr(r.y_hat), repr(r.y_naive)) for r in records]
             assert got == expected, spec.key
 
@@ -809,7 +819,7 @@ class TestRunSample:
         roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix")]
         records = rolling.run_sample(days, roster)
         assert len(records) == 3 * 2 * 340
-        keys = [rolling.STORE_ORDER(r) for r in records]
+        keys = [r[:4] for r in records]
         assert keys == sorted(keys)
         assert len({r.day for r in records}) == 3
 
@@ -822,10 +832,11 @@ class TestRunSample:
         ]
         serial = rolling.run_sample(days, roster, master_seed=5, workers=1)
         parallel = rolling.run_sample(days, roster, master_seed=5, workers=3)
-        assert serial == parallel
+        assert list(serial) == list(parallel)
 
     def test_zero_days(self):
-        assert rolling.run_sample([], [rolling.ModelSpec.naive()]) == []
+        forecasts = rolling.run_sample([], [rolling.ModelSpec.naive()])
+        assert len(forecasts) == 0 and list(forecasts) == []
 
     def test_overflowing_test_row_falls_back(self):
         # VIX is zero up to minute 94 apart from one tiny bar at 80, then back
@@ -855,6 +866,33 @@ class TestRunSample:
             if r.minute in (99, 101) and r.model == "rf"
         )
 
+    def test_rows_are_store_order_with_known_statuses(self):
+        # the benchmark's tracer counts records by iterating run_sample's
+        # result and reading each row's status
+        days = sample_days(2, seed=23)
+        roster = [rolling.ModelSpec.naive(), rolling.ModelSpec.ols("vix"),
+                  rolling.ModelSpec.ols("ar1")]
+        result = rolling.run_sample(days, roster)
+        rows = list(result)
+        assert len(rows) == len(result) == sum(block.y_hat.size for block in result.blocks)
+        assert all(type(r) is rolling.PredictionRecord for r in rows)
+        keys = [r[:4] for r in rows]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert {r.status for r in rows} <= {"ok", "fallback", "skipped"}
+        assert sum(r.status == "ok" for r in rows) > 0
+        for r in rows[::151]:
+            block = result.blocks[[b.day for b in result.blocks].index(r.day)]
+            w = block.minutes.tolist().index(r.minute)
+            j = block.models.index((r.model, r.predictor_set))
+            assert (r.y_true, r.y_hat, r.y_naive) == (
+                block.y_true[w], block.y_hat[j, w], block.y_naive[w]
+            )
+
+    def test_repeated_date_rejected(self):
+        day = sample_days(1)[0]
+        with pytest.raises(DataError, match="share the date"):
+            rolling.run_sample([day, day], [rolling.ModelSpec.naive()])
+
     def test_invalid_workers(self):
         with pytest.raises(ConfigError):
             rolling.run_sample(sample_days(1), [rolling.ModelSpec.naive()], workers=0)
@@ -866,7 +904,7 @@ class TestRunSample:
         a = rolling.run_sample(days, roster, master_seed=0)
         b = rolling.run_sample(days, roster, master_seed=1)
         for ra, rb in zip(a, b):
-            assert rolling.STORE_ORDER(ra) == rolling.STORE_ORDER(rb)
+            assert ra[:4] == rb[:4]
             if ra.model in ("naive", "ols-vix"):
                 assert ra == rb
         lstm_pairs = [(ra, rb) for ra, rb in zip(a, b) if ra.model == "lstm"]
@@ -882,7 +920,7 @@ class TestStore:
         records = self.records()
         path = tmp_path / "store.csv"
         rolling.write_store(records, path)
-        assert rolling.read_store(path) == records
+        assert list(rolling.read_store(path)) == list(records)
 
     def test_format(self, tmp_path):
         records = self.records()
@@ -895,16 +933,17 @@ class TestStore:
         assert len(lines) == len(records) + 2
         assert "\r" not in text
         first = lines[1].split(",")
-        assert first[0] == records[0].day.isoformat()
-        assert first[4] == repr(float(records[0].y_true))
+        record = next(iter(records))
+        assert first[0] == record.day.isoformat()
+        assert first[4] == repr(float(record.y_true))
 
     def test_writer_sorts_shuffled_input(self, tmp_path):
         records = self.records()
         shuffled = list(records)
         np.random.default_rng(0).shuffle(shuffled)
         path = tmp_path / "store.csv"
-        rolling.write_store(shuffled, path)
-        assert rolling.read_store(path) == records
+        rolling.write_store(forecasts(shuffled), path)
+        assert list(rolling.read_store(path)) == list(records)
 
     def test_nan_round_trip(self, tmp_path):
         record = rolling.PredictionRecord(
@@ -912,8 +951,8 @@ class TestStore:
             y_true=0.5, y_hat=math.nan, y_naive=math.nan, status="skipped",
         )
         path = tmp_path / "store.csv"
-        rolling.write_store([record], path)
-        back = rolling.read_store(path)[0]
+        rolling.write_store(forecasts([record]), path)
+        back = next(iter(rolling.read_store(path)))
         assert math.isnan(back.y_hat) and math.isnan(back.y_naive)
         assert back.y_true == 0.5
         assert back.status == "skipped"
@@ -926,7 +965,7 @@ class TestStore:
 
     def test_read_rejects_short_row(self, tmp_path):
         path = tmp_path / "store.csv"
-        rolling.write_store([], path)
+        rolling.write_store(rolling.Forecasts(), path)
         with open(path, "a") as handle:
             handle.write("2021-03-01,41,naive,none,0.1\n")
         with pytest.raises(ParseError):
@@ -934,24 +973,83 @@ class TestStore:
 
     def test_read_rejects_bad_status_and_floats(self, tmp_path):
         path = tmp_path / "store.csv"
-        rolling.write_store([], path)
+        rolling.write_store(rolling.Forecasts(), path)
         with open(path, "a") as handle:
             handle.write("2021-03-01,41,naive,none,0.1,0.1,0.1,great\n")
         with pytest.raises(ParseError):
             rolling.read_store(path)
-        rolling.write_store([], path)
+        rolling.write_store(rolling.Forecasts(), path)
         with open(path, "a") as handle:
             handle.write("2021-03-01,41,naive,none,abc,0.1,0.1,ok\n")
         with pytest.raises(ParseError):
             rolling.read_store(path)
 
+    def store_lines(self, tmp_path):
+        path = tmp_path / "store.csv"
+        rolling.write_store(self.records(), path)
+        return path, path.read_text().splitlines()
+
+    def test_read_rejects_repeated_row(self, tmp_path):
+        path, lines = self.store_lines(tmp_path)
+        path.write_text("\n".join(lines + lines[-3:]) + "\n")
+        with pytest.raises(ParseError, match=f"line {len(lines) + 1}: repeats"):
+            rolling.read_store(path)
+        # a repeat anywhere, not only next to the row it repeats
+        path.write_text("\n".join(lines[:5] + [lines[1]] + lines[5:]) + "\n")
+        with pytest.raises(ParseError, match="line 6: repeats"):
+            rolling.read_store(path)
+
+    def test_read_rejects_missing_row(self, tmp_path):
+        path, lines = self.store_lines(tmp_path)
+        date, minute, model, predictor_set = lines[7].split(",")[:4]
+        path.write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+        with pytest.raises(ParseError, match=(
+            f"{date}: no row for minute {minute} of model '{model}', "
+            f"predictor_set '{predictor_set}'"
+        )):
+            rolling.read_store(path)
+
+    @pytest.mark.parametrize("column", [4, 6])
+    def test_read_rejects_models_that_disagree_at_a_minute(self, tmp_path, column):
+        path, lines = self.store_lines(tmp_path)
+        fields = lines[4].split(",")
+        fields[column] = repr(float(fields[column]) + 1e-9)
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line (4|5): y_true or y_naive differs"):
+            rolling.read_store(path)
+
+    def test_read_rejects_quoted_field(self, tmp_path):
+        path, lines = self.store_lines(tmp_path)
+        lines[3] = lines[3].replace(",naive,", ',"naive",')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="line 4: store fields are never quoted"):
+            rolling.read_store(path)
+
+    def test_read_errors_name_their_line(self, tmp_path):
+        path, lines = self.store_lines(tmp_path)
+        for column, text, message in [
+            (0, "2021-02-30", "line 9: day is out of range"),
+            (1, "4l", "line 9: invalid literal for int"),
+            (5, "abc", "line 9: could not convert string to float: 'abc'"),
+            (7, "great", "line 9: unknown record status: 'great'"),
+        ]:
+            fields = lines[8].split(",")
+            fields[column] = text
+            path.write_text("\n".join(lines[:8] + [",".join(fields)] + lines[9:]) + "\n")
+            with pytest.raises(ParseError, match=message):
+                rolling.read_store(path)
+        path.write_text("\n".join(lines[:8] + [""] + lines[8:]) + "\n")
+        with pytest.raises(ParseError, match="line 9: expected 8 fields, got 0"):
+            rolling.read_store(path)
+
     @pytest.mark.parametrize("bad", ["ols,vix", 'ols"vix', "ols\nvix", "ols\rvix"])
     @pytest.mark.parametrize("field", ["model", "predictor_set"])
     def test_writer_rejects_ids_csv_would_quote(self, tmp_path, field, bad):
-        record = dataclasses.replace(self.records()[0], **{field: bad})
+        record = next(iter(self.records()))._replace(**{field: bad})
         path = tmp_path / "store.csv"
         with pytest.raises(ConfigError):
-            rolling.write_store([record], path)
+            rolling.write_store(forecasts([record]), path)
         assert not path.exists()
 
     def test_writer_matches_csv_module(self, tmp_path):
@@ -972,12 +1070,12 @@ class TestStore:
             for d in range(2) for m in range(10) for spec in specs
         ]
         path = tmp_path / "store.csv"
-        rolling.write_store(records, path)
+        rolling.write_store(forecasts(records), path)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(rolling.STORE_COLUMNS)
-            for r in sorted(records, key=rolling.STORE_ORDER):
+            for r in sorted(records, key=lambda r: r[:4]):
                 writer.writerow([
                     r.day.isoformat(), r.minute, r.model, r.predictor_set, repr(float(r.y_true)),
                     repr(float(r.y_hat)), repr(float(r.y_naive)), r.status,
@@ -985,8 +1083,9 @@ class TestStore:
         assert path.read_bytes() == expected.read_bytes()
 
     def test_status_validation_on_record(self):
-        with pytest.raises(ConfigError):
-            rolling.PredictionRecord(
-                day=DAY, minute=41, model="naive", predictor_set="none",
-                y_true=0.0, y_hat=0.0, y_naive=0.0, status="maybe",
-            )
+        record = rolling.PredictionRecord(
+            day=DAY, minute=41, model="naive", predictor_set="none",
+            y_true=0.0, y_hat=0.0, y_naive=0.0, status="maybe",
+        )
+        with pytest.raises(ParseError, match="line 1: unknown record status: 'maybe'"):
+            forecasts([record])
