@@ -18,6 +18,9 @@ so their digests are single. The LSTM slices, the metrics computed from
 them and the batched training digest are kept once per kernel, in
 KERNEL_DIGESTS, each computed by forcing the kernel with OPENBLAS_CORETYPE.
 A kernel with no set fails both tests with a message that names it.
+
+The golden store has two days, too few for the aggregate's percentile trim,
+so a longer naive and OLS run pins the trimmed report on its own.
 """
 
 import ctypes
@@ -32,6 +35,7 @@ from minutecast import cli, forest, lstm
 from minutecast.marketdata import (
     SESSION_START_MINUTE,
     SynthParams,
+    business_days,
     generate_synthetic_day,
     minute_to_time,
 )
@@ -61,6 +65,16 @@ PREDICTION_SLICES = {
     ("ols-vrp", "vrp"): "82e3d300aee36fdd3d254a1e4bd3b3cbba2837faf42dbdfe3701d4ad1a13e610",
     ("rf", "agg"): "f9efcdff2347339225197913391cdc30d79b57a70ed23618cf65de0508c3c107",
     ("rf", "vix"): "e4675affd149aa99ad5d05e15cc0ec218633b5259bba97c0925f7ab21175cdaa",
+}
+TRIM_DAYS = business_days(dt.date(2020, 3, 2), 6)
+TRIM_CONFIG = """
+input = {bars}
+models = naive, ols
+predictors = vix, agg
+"""
+TRIM_DIGESTS = {
+    "daily_metrics": "3fd289f84be3e31e1dffb2365829febb5ccd3b98516ef8cfab6621b994190d96",
+    "aggregate_report": "b38b05bba5a791692fd4ca10d9bcea63b7bbdbeef7df64f9b994da3901180415",
 }
 RF_FEATURE_MODES = "8281cd35f740da0e7328446dfd36caa1da437eb214082469fcb2d59296bc632c"
 
@@ -123,17 +137,23 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _run_and_report(tmp_path, capsys, lines, run_config):
+    """Run the config on the bar lines, then report on its store; both output dirs."""
+    bars = tmp_path / "bars.csv"
+    bars.write_text("\n".join(lines) + "\n")
+    config = tmp_path / "run.conf"
+    config.write_text(run_config.format(bars=bars))
+    out, redone = tmp_path / "out", tmp_path / "redone"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert cli.main(["report", str(out / "predictions.csv"), "--out", str(redone)]) == 0
+    capsys.readouterr()
+    return out, redone
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_golden_store(tmp_path, capsys):
     kernel = kernel_digests(openblas_kernel())
-    bars = tmp_path / "bars.csv"
-    bars.write_text("\n".join(_bar_lines()) + "\n")
-    config = tmp_path / "run.conf"
-    config.write_text(RUN_CONFIG.format(bars=bars))
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    capsys.readouterr()
-
+    out, redone = _run_and_report(tmp_path, capsys, _bar_lines(), RUN_CONFIG)
     lines = (out / "predictions.csv").read_text().splitlines()[1:]
     slices = {}
     for line in lines:
@@ -147,12 +167,27 @@ def test_golden_store(tmp_path, capsys):
     lstm_slices = {key: kernel[key] for key in (("lstm", "agg"), ("lstm", "vix"))}
     assert digests == {**PREDICTION_SLICES, **lstm_slices}
     # report re-reads the store, skipped, fallback, NaN and 1e200 rows included
-    redone = tmp_path / "redone"
-    assert cli.main(["report", str(out / "predictions.csv"), "--out", str(redone)]) == 0
-    capsys.readouterr()
     for directory in (out, redone):
         assert _sha((directory / "daily_metrics.csv").read_bytes()) == kernel["daily_metrics"]
         assert _sha((directory / "aggregate_report.csv").read_bytes()) == kernel["aggregate_report"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_trimmed_aggregate_digests(tmp_path, capsys):
+    # naive and OLS records are the same under every OpenBLAS kernel: one digest set
+    params = SynthParams(n_days=len(TRIM_DAYS), seed=23)
+    lines = ["date,time,spy_price,vix"]
+    for day in TRIM_DAYS:
+        lines.extend(f"{day.isoformat()},{minute_to_time(m)},{price!r},{vix!r}"
+                     for m, price, vix in generate_synthetic_day(params, day).bars.tolist()
+                     if m <= LAST_MINUTE)
+    out, redone = _run_and_report(tmp_path, capsys, lines, TRIM_CONFIG)
+    report = (out / "aggregate_report.csv").read_text().splitlines()[1:]
+    assert any(int(raw) > int(kept) for raw, kept in
+               (line.rsplit(",", 2)[1:] for line in report))
+    for directory in (out, redone):
+        for name, digest in TRIM_DIGESTS.items():
+            assert _sha((directory / f"{name}.csv").read_bytes()) == digest, name
 
 
 def test_train_windows_digest():
