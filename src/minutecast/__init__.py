@@ -35,9 +35,7 @@ from .metrics import (
     DailyMetrics,
     aggregate_report,
     compute_daily_metrics,
-    r2_oos_daily,
     render_aggregate_table,
-    rmse_daily,
     summary_stats,
 )
 from .rolling import (
@@ -100,8 +98,6 @@ __all__ = [
     "write_store",
     "read_store",
     "DailyMetrics",
-    "rmse_daily",
-    "r2_oos_daily",
     "compute_daily_metrics",
     "aggregate_report",
     "render_aggregate_table",

@@ -3,7 +3,7 @@
 Daily scores compare each model against the per-window mean forecast that
 ships with every forecast, so the out-of-sample R² is measured against
 exactly the benchmark the window saw.  Aggregation trims daily
-values to the 1st-99th percentile band per metric before averaging.
+values to the TRIM_PERCENTILES band per metric before averaging.
 """
 
 from __future__ import annotations
@@ -11,28 +11,21 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import warnings
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
-from .rolling import _SKIPPED, _STATUSES, STATUS_SKIPPED, Forecasts, PredictionRecord
+from .errors import ShapeError
+from .rolling import _SKIPPED, _STATUSES, Forecasts
 
 __all__ = [
     "DailyMetrics",
     "AggregateRow",
-    "AggregateStats",
     "VariableStats",
     "SummaryStats",
     "REFERENCE_DATASET_STATS",
-    "rmse_daily",
-    "r2_oos_daily",
-    "percentile_bounds",
-    "trim_to_bounds",
-    "trim_percentiles",
-    "aggregate_stats",
+    "TRIM_PERCENTILES",
     "summary_stats",
     "compute_daily_metrics",
     "aggregate_report",
@@ -85,12 +78,6 @@ class AggregateRow:
             raise ShapeError("trimming cannot add days")
 
 
-class AggregateStats(NamedTuple):
-    mean: float
-    median: float
-    std: float
-
-
 @dataclass(frozen=True)
 class VariableStats:
     """Moment summary of one series; higher moments are None when degenerate."""
@@ -121,22 +108,13 @@ REFERENCE_DATASET_STATS = SummaryStats(
 )
 
 
-def _scored(records: Sequence[PredictionRecord]):
-    """y_true, y_hat and y_naive of the records that are not skipped, as arrays."""
-    scored = [r[4:7] for r in records if r.status != STATUS_SKIPPED]
-    return np.array(scored, dtype=float).reshape(-1, 3).T
-
-
-def _rmse(y: np.ndarray, y_hat: np.ndarray) -> Optional[float]:
-    if not len(y):
-        return None
+def _rmse(y: np.ndarray, y_hat: np.ndarray) -> float:
     errors = y - y_hat
     return float(np.sqrt(np.mean(errors * errors)))
 
 
 def _r2_oos(y: np.ndarray, y_hat: np.ndarray, y_naive: np.ndarray) -> Optional[float]:
-    if not len(y):
-        return None
+    """1 - SSE(model) / SSE(window mean); None when every target equals its window mean."""
     denominator = float(np.sum((y - y_naive) ** 2))
     if denominator == 0.0:
         return None
@@ -144,76 +122,24 @@ def _r2_oos(y: np.ndarray, y_hat: np.ndarray, y_naive: np.ndarray) -> Optional[f
     return 1.0 - numerator / denominator
 
 
-def rmse_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
-    """Root-mean-square error over a day's scored records; None when empty.
+# the percentile band of daily values that aggregate_report keeps, per metric
+TRIM_PERCENTILES = (1.0, 99.0)
 
-    Fallback records count with their fallback forecast; skipped records
-    carry no forecast and are left out.
+
+def _trimmed_stats(values: Sequence[float]) -> Tuple[float, float, float, int]:
+    """Mean, median, n-1 std and count of the values inside the trim band.
+
+    The band's edges interpolate linearly between order statistics, and
+    values on an edge are kept, in their order.  Fewer than 3 values pass
+    untrimmed, since a band needs interior mass; one value has std 0.
     """
-    y, y_hat, _ = _scored(records)
-    return _rmse(y, y_hat)
-
-
-def r2_oos_daily(records: Sequence[PredictionRecord]) -> Optional[float]:
-    """Out-of-sample R² against each record's own window-mean forecast.
-
-    1 - SSE(model) / SSE(window mean), over the day's scored records.  When
-    every target equals its window mean the denominator vanishes and the
-    statistic is undefined, returned as None.
-    """
-    return _r2_oos(*_scored(records))
-
-
-def percentile_bounds(
-    values: Sequence[float], lower: float = 1.0, upper: float = 99.0
-) -> Tuple[float, float]:
-    """Percentile band edges under linear interpolation of order statistics."""
-    if not 0.0 <= lower < upper <= 100.0:
-        raise ConfigError(f"bad percentile band: ({lower}, {upper})")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ShapeError("cannot take percentiles of an empty set")
-    lo, hi = np.percentile(arr, [lower, upper])
-    return float(lo), float(hi)
-
-
-def trim_to_bounds(values: Sequence[float], lo: float, hi: float) -> List[float]:
-    """Keep values inside [lo, hi]; order-preserving, idempotent for fixed bounds."""
-    return [v for v in values if lo <= v <= hi]
-
-
-def trim_percentiles(
-    values: Sequence[float], lower: float = 1.0, upper: float = 99.0
-) -> List[float]:
-    """Drop values strictly outside the [lower, upper] percentile band.
-
-    Fewer than 3 values pass through unchanged with a warning; a band needs
-    interior mass to be meaningful.
-    """
-    values = list(values)
-    if len(values) < 3:
-        warnings.warn(
-            f"trim_percentiles got {len(values)} values; passing through untrimmed"
-        )
-        return values
-    lo, hi = percentile_bounds(values, lower, upper)
-    return trim_to_bounds(values, lo, hi)
-
-
-def aggregate_stats(values: Sequence[float]) -> AggregateStats:
-    """Mean, median (middle-two average), and n-1 standard deviation."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ShapeError("aggregate_stats needs at least one value")
+    arr = np.asarray(values, dtype=float)
+    if arr.size >= 3:
+        lo, hi = np.percentile(arr, TRIM_PERCENTILES)
+        arr = arr[(lo <= arr) & (arr <= hi)]
     if arr.size == 1:
-        warnings.warn("aggregate_stats of a single value; std reported as 0")
-        only = float(arr[0])
-        return AggregateStats(mean=only, median=only, std=0.0)
-    return AggregateStats(
-        mean=float(arr.mean()),
-        median=float(np.median(arr)),
-        std=float(arr.std(ddof=1)),
-    )
+        return float(arr[0]), float(arr[0]), 0.0, 1
+    return float(arr.mean()), float(np.median(arr)), float(arr.std(ddof=1)), arr.size
 
 
 def _variable_stats(values: np.ndarray) -> VariableStats:
@@ -255,7 +181,9 @@ def summary_stats(spy, vix) -> SummaryStats:
 def compute_daily_metrics(forecasts: Forecasts) -> List[DailyMetrics]:
     """Score every (day, model, predictor set): one row of each day's block.
 
-    Rows with no scored forecasts are left out; their count is logged.
+    A fallback forecast is scored like any other; a skipped one carries no
+    forecast and is left out.  Rows with no scored forecast are left out;
+    their count is logged.
     """
     rows = []
     excluded = 0
@@ -312,15 +240,12 @@ def aggregate_report(daily: Sequence[DailyMetrics]) -> List[AggregateRow]:
                     )
                 )
                 continue
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # tiny samples are expected here
-                trimmed = trim_percentiles(values)
-                stats = aggregate_stats(trimmed)
+            mean, median, std, kept = _trimmed_stats(values)
             out.append(
                 AggregateRow(
                     model=model, predictor_set=predictor_set, metric=metric,
-                    mean=stats.mean, median=stats.median, std=stats.std,
-                    n_days_raw=len(values), n_days_trimmed=len(trimmed),
+                    mean=mean, median=median, std=std,
+                    n_days_raw=len(values), n_days_trimmed=kept,
                 )
             )
     return out

@@ -354,7 +354,7 @@ def derive_seed(master_seed: int, day: dt.date, minute: int, model_key: str) -> 
 def _ols_forecasts(spec: ModelSpec, X, y, lengths, x_test, seeds) -> np.ndarray:
     """OLS: closed-form fits, one stack per window length; NaN where the regressor is constant."""
     forecasts = np.empty(len(X))
-    for n in np.unique(lengths).tolist():
+    for n in sorted(set(lengths.tolist())):
         j = np.flatnonzero(lengths == n)
         forecasts[j] = ols_predict(ols_fit(X[j, -n:], y[j, -n:]), x_test[j])
     return forecasts
@@ -461,7 +461,7 @@ def _stack_day(rows: np.ndarray, tests: np.ndarray, roster: Sequence[ModelSpec])
     # each row of a contiguous (windows, n) stack sums in the order of its
     # window's own mean, so one mean per window length gives the same bits
     y_naive = np.full(len(tests), math.nan)
-    for n in np.unique(lengths).tolist():
+    for n in sorted(set(lengths.tolist())):
         j = np.flatnonzero((lengths == n) & finite[:, -1])
         y_naive[j] = rows["r5"][tests[j, None] + np.arange(-n, 0)].mean(axis=1)
     fittable = scaler = scaled = x_test = None

@@ -24,7 +24,6 @@ from minutecast.metrics import (
     REFERENCE_DATASET_STATS,
     aggregate_report,
     compute_daily_metrics,
-    r2_oos_daily,
     summary_stats,
 )
 from minutecast.rolling import Forecasts, ModelSpec, run_day, run_sample, schedule_day
@@ -166,14 +165,15 @@ def test_criterion_4_gapless_day_schedule():
 
 def test_criterion_5_naive_r2_is_zero_and_perfect_is_one():
     series = generate_synthetic_day(SynthParams(n_days=1, seed=9), DAY)
-    records = list(Forecasts([run_day(build_feature_rows(series), [ModelSpec.naive()])]))
-    assert len(records) == 340
-    r2 = r2_oos_daily(records)
-    assert r2 is not None  # the benchmark denominator is nonzero
-    assert abs(r2) < 1e-12
+    block = run_day(build_feature_rows(series), [ModelSpec.naive()])
+    assert len(Forecasts([block])) == 340
+    [naive] = compute_daily_metrics(Forecasts([block]))
+    assert naive.r2_oos is not None  # the benchmark denominator is nonzero
+    assert abs(naive.r2_oos) < 1e-12
 
-    perfect = [r._replace(y_hat=r.y_true) for r in records]
-    assert r2_oos_daily(perfect) == 1.0
+    perfect = block._replace(y_hat=block.y_true[None, :])
+    [scored] = compute_daily_metrics(Forecasts([perfect]))
+    assert scored.r2_oos == 1.0
 
 
 def test_criterion_6_minmax_round_trip():

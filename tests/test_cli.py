@@ -550,6 +550,19 @@ class TestGradcheck:
         assert "FAIL" in capsys.readouterr().out
 
 
+def fresh_python(code, *args, cwd=None):
+    """Run code in a fresh interpreter that imports the package imported here."""
+    package_root = str(Path(minutecast.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120, cwd=cwd, env=env,
+    )
+
+
 class TestEntryPoint:
     def test_installed_script(self, tmp_path):
         tomllib = pytest.importorskip("tomllib")
@@ -558,17 +571,10 @@ class TestEntryPoint:
         assert scripts["minutecast"] == "minutecast.cli:main"
 
         # the same call the generated console-script wrapper makes, run from
-        # a foreign working directory against the package imported here
-        package_root = str(Path(minutecast.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; from minutecast.cli import main; sys.exit(main())",
-             "gradcheck", "--instances", "2"],
-            capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+        # a foreign working directory
+        result = fresh_python(
+            "import sys; from minutecast.cli import main; sys.exit(main())",
+            "gradcheck", "--instances", "2", cwd=tmp_path,
         )
         assert result.returncode == 0
         assert "PASS" in result.stdout
@@ -576,18 +582,25 @@ class TestEntryPoint:
     def test_import_does_not_load_scipy(self):
         # numpy is the only runtime dependency; a fresh interpreter shows
         # it even where scipy is installed
-        package_root = str(Path(minutecast.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        result = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, minutecast, minutecast.cli; print('scipy' in sys.modules)"],
-            capture_output=True, text=True, timeout=120, env=env,
+        result = fresh_python(
+            "import sys, minutecast, minutecast.cli; print('scipy' in sys.modules)"
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_one_day_run_does_not_load_numpy_ma(self, tmp_path):
+        # numpy 2 imports numpy.ma on the first np.unique call (about 10 ms
+        # and 1 MB per process); numpy 1 imports it with numpy itself
+        if fresh_python("import sys, numpy; print('numpy.ma' in sys.modules)").stdout.strip() == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        config = write_config(tmp_path, "synth_days = 1\nmodels = naive, ols\n")
+        result = fresh_python(
+            "import sys; from minutecast.cli import main; code = main(sys.argv[1:]); "
+            "print('numpy.ma' in sys.modules); sys.exit(code)",
+            "run", "--config", str(config), "--out", str(tmp_path / "out"),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "False"
 
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as info:

@@ -15,18 +15,53 @@ from hypothesis import strategies as st
 
 from minutecast import metrics, rolling
 from minutecast import marketdata as md
-from minutecast.errors import ConfigError, ShapeError
-from test_rolling import forecasts
+from minutecast.errors import ShapeError
 
 DAY = dt.date(2021, 3, 1)
+NAN = math.nan
 
 
-def rec(y, y_hat, y_naive, status="ok", minute=41, model="m", pred="p", day=DAY):
-    record = rolling.PredictionRecord(
-        day=day, minute=minute, model=model, predictor_set=pred,
-        y_true=y, y_hat=y_hat, y_naive=y_naive, status=status,
+def block(y, y_hat, y_naive, status=None, models=(("m", "p"),), day=DAY):
+    """A hand-built day at minutes 41, 42, ...
+
+    y_hat and status hold one row per model, or a flat list for one model;
+    status defaults to ok everywhere.
+    """
+    y_hat = np.array(y_hat, dtype=float).reshape(len(models), len(y))
+    status = ["ok"] * y_hat.size if status is None else np.ravel(status).tolist()
+    codes = [rolling._STATUSES.index(s) for s in status]
+    return rolling.DayForecasts(
+        day=day, minutes=np.arange(41, 41 + len(y)),
+        y_true=np.array(y, dtype=float), y_naive=np.array(y_naive, dtype=float),
+        models=tuple(models), y_hat=y_hat,
+        status=np.array(codes, dtype=np.uint8).reshape(y_hat.shape),
     )
-    return next(iter(forecasts([record])))
+
+
+def score(*blocks):
+    return metrics.compute_daily_metrics(rolling.Forecasts(blocks))
+
+
+def aggregate(values):
+    """aggregate_report's r2_oos row for one model with these daily values."""
+    rows = [
+        metrics.DailyMetrics(
+            day=DAY + dt.timedelta(days=i), model="a", predictor_set="x",
+            rmse=1.0, r2_oos=v, n=1, n_ok=1, n_fallback=0, n_skipped=0,
+        )
+        for i, v in enumerate(values)
+    ]
+    return metrics.aggregate_report(rows)[1]
+
+
+def stats(row):
+    return row.mean, row.median, row.std
+
+
+def numpy_stats(values):
+    """The statistics aggregate_report reports for values it keeps whole."""
+    arr = np.asarray(values, dtype=float)
+    return float(arr.mean()), float(np.median(arr)), float(arr.std(ddof=1))
 
 
 def manual_percentile(sorted_values, p):
@@ -40,165 +75,163 @@ def manual_percentile(sorted_values, p):
 
 class TestRmseDaily:
     def test_perfect_forecast(self):
-        records = [rec(0.5, 0.5, 0.0, minute=m) for m in range(41, 51)]
-        assert metrics.rmse_daily(records) == 0.0
+        [row] = score(block([0.5] * 10, [0.5] * 10, [0.0] * 10))
+        assert row.rmse == 0.0
 
     def test_hand_case(self):
-        records = [rec(0.0, 3.0, 0.0), rec(0.0, 4.0, 0.0, minute=42)]
-        assert metrics.rmse_daily(records) == pytest.approx(math.sqrt(12.5), rel=1e-15)
+        [row] = score(block([0.0, 0.0], [3.0, 4.0], [0.0, 0.0]))
+        assert row.rmse == pytest.approx(math.sqrt(12.5), rel=1e-15)
 
     def test_skipped_records_excluded(self):
-        records = [rec(0.0, 3.0, 0.0), rec(0.0, 4.0, 0.0, minute=42)]
-        with_skip = records + [rec(0.0, math.nan, math.nan, status="skipped", minute=43)]
-        assert metrics.rmse_daily(with_skip) == metrics.rmse_daily(records)
+        [row] = score(block([0.0, 0.0], [3.0, 4.0], [0.0, 0.0]))
+        [with_skip] = score(block([0.0, 0.0, 0.0], [3.0, 4.0, NAN], [0.0, 0.0, NAN],
+                                  ["ok", "ok", "skipped"]))
+        assert with_skip.rmse == row.rmse
+        assert (with_skip.n, with_skip.n_skipped) == (2, 1)
 
     def test_fallback_records_included(self):
-        records = [rec(0.0, 3.0, 3.0, status="fallback"),
-                   rec(0.0, 4.0, 4.0, status="fallback", minute=42)]
-        assert metrics.rmse_daily(records) == pytest.approx(math.sqrt(12.5), rel=1e-15)
+        [row] = score(block([0.0, 0.0], [3.0, 4.0], [3.0, 4.0], ["fallback", "fallback"]))
+        assert row.rmse == pytest.approx(math.sqrt(12.5), rel=1e-15)
+        assert (row.n, row.n_fallback) == (2, 2)
 
     def test_empty_is_none(self):
-        assert metrics.rmse_daily([]) is None
-        only_skip = [rec(0.0, math.nan, math.nan, status="skipped")]
-        assert metrics.rmse_daily(only_skip) is None
+        # a model-day with no scored forecast gets no row, so no rmse
+        assert score(block([0.0], [NAN], [NAN], ["skipped"])) == []
 
     @given(scale=st.floats(min_value=1e-6, max_value=1e6))
     @settings(max_examples=30, deadline=None)
     def test_scale_equivariance(self, scale):
-        base = [rec(0.1, 0.4, 0.0), rec(-0.2, 0.3, 0.0, minute=42)]
-        scaled = [rec(r.y_true * scale, r.y_hat * scale, 0.0, minute=r.minute)
-                  for r in base]
-        assert metrics.rmse_daily(scaled) == pytest.approx(
-            scale * metrics.rmse_daily(base), rel=1e-12
-        )
+        y, y_hat = np.array([0.1, -0.2]), np.array([0.4, 0.3])
+        [base] = score(block(y, y_hat, [0.0, 0.0]))
+        [scaled] = score(block(y * scale, y_hat * scale, [0.0, 0.0]))
+        assert scaled.rmse == pytest.approx(scale * base.rmse, rel=1e-12)
 
 
 class TestR2OosDaily:
     def test_hand_case_zero(self):
-        records = [rec(2.0, 3.0, 1.0), rec(4.0, 3.0, 5.0, minute=42)]
-        assert metrics.r2_oos_daily(records) == 0.0
+        [row] = score(block([2.0, 4.0], [3.0, 3.0], [1.0, 5.0]))
+        assert row.r2_oos == 0.0
 
     def test_perfect_forecast_is_one(self):
-        records = [rec(0.3, 0.3, 0.1), rec(0.7, 0.7, 0.2, minute=42)]
-        assert metrics.r2_oos_daily(records) == 1.0
+        [row] = score(block([0.3, 0.7], [0.3, 0.7], [0.1, 0.2]))
+        assert row.r2_oos == 1.0
 
     def test_window_mean_forecast_is_exactly_zero(self):
         rng = np.random.default_rng(5)
-        records = [
-            rec(float(rng.normal()), 0.0, 0.0, minute=41 + i) for i in range(50)
-        ]
-        records = [rec(r.y_true, r.y_naive, r.y_naive, minute=r.minute)
-                   for r in records]
-        assert metrics.r2_oos_daily(records) == 0.0
+        y = rng.normal(size=50)
+        [row] = score(block(y, np.zeros(50), np.zeros(50)))
+        assert row.r2_oos == 0.0
 
     def test_zero_denominator_is_none(self):
-        records = [rec(0.5, 0.1, 0.5), rec(0.5, 0.2, 0.5, minute=42)]
-        assert metrics.r2_oos_daily(records) is None
+        [row] = score(block([0.5, 0.5], [0.1, 0.2], [0.5, 0.5]))
+        assert row.r2_oos is None
 
     def test_empty_is_none(self):
-        assert metrics.r2_oos_daily([]) is None
+        # a model-day with no scored forecast gets no row, so no R²
+        assert score(block([0.0, 0.0], [NAN, NAN], [0.0, NAN], ["skipped", "skipped"])) == []
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
     def test_never_exceeds_one(self, data):
         n = data.draw(st.integers(2, 8))
-        vals = st.floats(min_value=-10, max_value=10)
-        records = []
-        for i in range(n):
-            records.append(rec(data.draw(vals), data.draw(vals), data.draw(vals),
-                               minute=41 + i))
-        r2 = metrics.r2_oos_daily(records)
-        if r2 is not None:
-            assert r2 <= 1.0
+        vals = st.lists(st.floats(min_value=-10, max_value=10), min_size=n, max_size=n)
+        [row] = score(block(data.draw(vals), data.draw(vals), data.draw(vals)))
+        if row.r2_oos is not None:
+            assert row.r2_oos <= 1.0
 
     def test_ordering_consistency_with_rmse(self):
         # same targets and window means, one model strictly closer
         rng = np.random.default_rng(9)
         y = rng.normal(size=20)
         naive = y + rng.normal(size=20) * 0.5
-        close = [rec(y[i], y[i] + 0.1, naive[i], minute=41 + i) for i in range(20)]
-        far = [rec(y[i], y[i] + 0.4, naive[i], minute=41 + i) for i in range(20)]
-        assert metrics.rmse_daily(close) < metrics.rmse_daily(far)
-        assert metrics.r2_oos_daily(close) > metrics.r2_oos_daily(far)
+        close, far = score(block(y, [y + 0.1, y + 0.4], naive,
+                                 models=[("close", "p"), ("far", "p")]))
+        assert close.rmse < far.rmse
+        assert close.r2_oos > far.r2_oos
 
 
 class TestPercentiles:
     def test_bounds_on_1_to_100(self):
-        lo, hi = metrics.percentile_bounds(range(1, 101))
-        assert lo == pytest.approx(1.99, abs=1e-12)
-        assert hi == pytest.approx(99.01, abs=1e-12)
+        # the band is [1.99, 99.01]: 1 and 100 fall outside it
+        row = aggregate(range(1, 101))
+        assert stats(row) == numpy_stats(range(2, 100))
+        assert row.n_days_trimmed == 98
 
     def test_bounds_match_manual_interpolation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            values = sorted(rng.normal(size=int(rng.integers(3, 40))).tolist())
-            lo, hi = metrics.percentile_bounds(values)
-            assert lo == pytest.approx(manual_percentile(values, 1.0), abs=1e-12)
-            assert hi == pytest.approx(manual_percentile(values, 99.0), abs=1e-12)
+            values = rng.normal(size=int(rng.integers(3, 250))).tolist()
+            ordered = sorted(values)
+            lo = manual_percentile(ordered, 1.0)
+            hi = manual_percentile(ordered, 99.0)
+            kept = [v for v in values if lo <= v <= hi]
+            row = aggregate(values)
+            assert row.n_days_trimmed == len(kept)
+            assert stats(row) == pytest.approx(numpy_stats(kept), abs=1e-12)
+
+    def test_values_on_a_band_edge_are_kept(self):
+        # 101 values put both edges on order statistics: 1.0 and 99.0
+        row = aggregate(range(101))
+        assert stats(row) == numpy_stats(range(1, 100))
+        assert row.n_days_trimmed == 99
 
     def test_trim_1_to_100_keeps_central_98(self):
-        trimmed = metrics.trim_percentiles(range(1, 101))
-        assert trimmed == list(range(2, 100))
-        assert len(trimmed) == 98
+        row = aggregate(range(1, 101))
+        assert (row.mean, row.median) == (50.5, 50.5)
+        assert (row.n_days_raw, row.n_days_trimmed) == (100, 98)
 
     def test_all_equal_nothing_dropped(self):
-        assert metrics.trim_percentiles([7.0] * 10) == [7.0] * 10
+        row = aggregate([7.0] * 10)
+        assert stats(row) == (7.0, 7.0, 0.0)
+        assert row.n_days_trimmed == 10
 
     def test_order_preserving_subset(self):
+        # the kept values are summed in day order, bit for bit
         rng = np.random.default_rng(11)
         values = rng.normal(size=200).tolist()
-        trimmed = metrics.trim_percentiles(values)
-        assert len(trimmed) <= len(values)
-        it = iter(values)
-        assert all(v in it for v in trimmed)  # subsequence check
+        lo, hi = np.percentile(values, metrics.TRIM_PERCENTILES)
+        kept = [v for v in values if lo <= v <= hi]
+        row = aggregate(values)
+        assert len(kept) == row.n_days_trimmed < len(values)
+        assert stats(row) == numpy_stats(kept)
 
-    def test_short_input_passes_through_with_warning(self):
-        with pytest.warns(UserWarning):
-            assert metrics.trim_percentiles([1.0, 2.0]) == [1.0, 2.0]
+    def test_three_values_are_trimmed(self):
+        row = aggregate([1.0, 2.0, 3.0])
+        assert stats(row) == (2.0, 2.0, 0.0)
+        assert row.n_days_trimmed == 1
 
-    def test_fixed_bound_trimming_is_idempotent(self):
-        rng = np.random.default_rng(13)
-        values = rng.normal(size=100).tolist()
-        lo, hi = metrics.percentile_bounds(values)
-        once = metrics.trim_to_bounds(values, lo, hi)
-        assert metrics.trim_to_bounds(once, lo, hi) == once
-
-    def test_bad_band_rejected(self):
-        with pytest.raises(ConfigError):
-            metrics.percentile_bounds([1.0, 2.0], lower=99.0, upper=1.0)
-        with pytest.raises(ConfigError):
-            metrics.percentile_bounds([1.0, 2.0], lower=-5.0)
-        with pytest.raises(ShapeError):
-            metrics.percentile_bounds([])
+    def test_short_input_passes_through(self):
+        row = aggregate([1.0, 2.0])
+        assert stats(row) == numpy_stats([1.0, 2.0])
+        assert row.n_days_trimmed == 2
 
 
 class TestAggregateStats:
     def test_hand_case(self):
-        stats = metrics.aggregate_stats([1.0, 2.0, 3.0])
-        assert stats == (2.0, 2.0, 1.0)
+        # tied ends keep the band's edges on the data: nothing is trimmed
+        row = aggregate([1.0, 1.0, 2.0, 3.0, 3.0])
+        assert stats(row) == (2.0, 2.0, 1.0)
+        assert row.n_days_trimmed == 5
 
     def test_even_count_median_averages_middle_two(self):
-        stats = metrics.aggregate_stats([1.0, 2.0, 3.0, 4.0])
-        assert stats.median == 2.5
+        row = aggregate([1.0, 1.0, 2.0, 3.0, 4.0, 4.0])
+        assert row.median == 2.5
+        assert row.n_days_trimmed == 6
 
     def test_single_value(self):
-        with pytest.warns(UserWarning):
-            stats = metrics.aggregate_stats([4.2])
-        assert stats == (4.2, 4.2, 0.0)
+        row = aggregate([4.2])
+        assert stats(row) == (4.2, 4.2, 0.0)
+        assert (row.n_days_raw, row.n_days_trimmed) == (1, 1)
 
     def test_constant_values(self):
-        assert metrics.aggregate_stats([3.0, 3.0, 3.0]).std == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            metrics.aggregate_stats([])
+        assert aggregate([3.0, 3.0, 3.0]).std == 0.0
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=30))
     @settings(max_examples=50, deadline=None)
     def test_mean_within_range(self, values):
-        stats = metrics.aggregate_stats(values)
-        assert min(values) - 1e-9 <= stats.mean <= max(values) + 1e-9
-        assert stats.std >= 0.0
+        row = aggregate(values)
+        assert min(values) - 1e-9 <= row.mean <= max(values) + 1e-9
+        assert row.std >= 0.0
 
 
 class TestSummaryStats:
@@ -248,27 +281,15 @@ class TestSummaryStats:
         assert ref.correlation == -0.432
 
 
-def make_day(day, model, pred, pairs):
-    """pairs: (y_true, y_hat, y_naive, status) per minute starting at 41."""
-    return [
-        rec(y, yh, yn, status=s, minute=41 + i, model=model, pred=pred, day=day)
-        for i, (y, yh, yn, s) in enumerate(pairs)
-    ]
-
-
 class TestComputeDailyMetrics:
     def test_grouping_counts_and_values(self):
         d2 = DAY + dt.timedelta(days=1)
-        # every model of a day has a row at each minute, with the same y_true and y_naive
-        records = (
-            make_day(DAY, "a", "x", [(0.0, 3.0, 0.1, "ok"), (0.0, 4.0, 0.1, "ok"),
-                                     (0.0, math.nan, 0.1, "skipped")])
-            + make_day(DAY, "b", "y", [(0.0, 1.0, 0.1, "ok"),
-                                       (0.0, 1.5, 0.1, "fallback"),
-                                       (0.0, math.nan, 0.1, "skipped")])
-            + make_day(d2, "a", "x", [(0.5, 0.5, 0.5, "ok")])
+        first_day = block(
+            [0.0, 0.0, 0.0], [[3.0, 4.0, NAN], [1.0, 1.5, NAN]], [0.1, 0.1, 0.1],
+            [["ok", "ok", "skipped"], ["ok", "fallback", "skipped"]],
+            models=[("a", "x"), ("b", "y")],
         )
-        rows = metrics.compute_daily_metrics(forecasts(records))
+        rows = score(first_day, block([0.5], [0.5], [0.5], models=[("a", "x")], day=d2))
         assert [(r.day, r.model) for r in rows] == [(DAY, "a"), (DAY, "b"), (d2, "a")]
         first = rows[0]
         assert first.rmse == pytest.approx(math.sqrt(12.5), rel=1e-15)
@@ -280,8 +301,7 @@ class TestComputeDailyMetrics:
         assert third.rmse == 0.0
 
     def test_all_skipped_group_excluded(self):
-        records = make_day(DAY, "a", "x", [(0.0, math.nan, math.nan, "skipped")])
-        assert metrics.compute_daily_metrics(forecasts(records)) == []
+        assert score(block([0.0], [NAN], [NAN], ["skipped"], models=[("a", "x")])) == []
 
     def test_naive_day_scores_zero_r2(self):
         series = md.generate_synthetic_day(md.SynthParams(n_days=1, seed=21), DAY)
@@ -306,13 +326,10 @@ class TestAggregateReport:
     def test_rows_and_counts(self):
         report = metrics.aggregate_report(self.daily())
         assert [(r.metric, r.n_days_raw) for r in report] == [("rmse", 10), ("r2_oos", 9)]
+        # rmse 1..10: the band [1.09, 9.91] drops the first and last day
         rmse_row = report[0]
-        trimmed = metrics.trim_percentiles([1.0 + i for i in range(10)])
-        stats = metrics.aggregate_stats(trimmed)
-        assert rmse_row.mean == stats.mean
-        assert rmse_row.median == stats.median
-        assert rmse_row.std == stats.std
-        assert rmse_row.n_days_trimmed == len(trimmed)
+        assert stats(rmse_row) == numpy_stats([2.0 + i for i in range(8)])
+        assert rmse_row.n_days_trimmed == 8
 
     def test_undefined_metric_everywhere_yields_empty_row(self):
         rows = [metrics.DailyMetrics(
